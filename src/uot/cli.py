@@ -11,8 +11,8 @@ import sys
 import numpy as np
 
 from . import __version__
-from .divergences import (grad_positions, grad_weights, hausdorff_divergence,
-                          ot_eps, sinkhorn_divergence, sinkhorn_entropy)
+from .divergences import (hausdorff_divergence, ot_eps, sinkhorn_divergence,
+                          sinkhorn_entropy, solve_terms)
 from .entropies import parse_entropy
 from .errors import UotError
 from .flows import FlowParams, FlowState, run_flow
@@ -36,15 +36,6 @@ class _Parser(argparse.ArgumentParser):
 def _fail(message: str) -> int:
     print(f"error: {message}", file=sys.stderr)
     return EXIT_ERROR
-
-
-def _apply_threads(value):
-    if value is None:
-        value = os.environ.get("UOT_THREADS")
-    if value is None:
-        return
-    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-        os.environ[var] = str(value)
 
 
 def _emit(payload: dict, args) -> None:
@@ -144,20 +135,19 @@ def _cmd_grad(args) -> int:
     entropy = parse_entropy(args.entropy)
     a = load_measure(args.measure_a)
     b = load_measure(args.measure_b)
-    cost = _cost(args)
-    opts = _solver_options(args)
-    value_fn = ot_eps if args.which == "ot" else sinkhorn_divergence
-    result = value_fn(a, b, cost, entropy, args.eps, opts)
+    solved = solve_terms(a, b, _cost(args), entropy, args.eps, args.which,
+                         _solver_options(args))
+    result = solved.value()
     if result.report.status == INFEASIBLE:
         print("infeasible", file=sys.stderr)
         return EXIT_INFEASIBLE
     payload = {"value": result.value}
     if args.target in ("weights", "both"):
-        g = grad_weights(a, b, cost, entropy, args.eps, args.which, opts)
+        g = solved.grad_weights()
         payload["grad_weights_a"] = g.d_weights_a.tolist()
         payload["grad_weights_b"] = g.d_weights_b.tolist()
     if args.target in ("positions", "both"):
-        g = grad_positions(a, b, cost, entropy, args.eps, args.which, opts)
+        g = solved.grad_positions()
         payload["grad_points_a"] = g.d_points_a.tolist()
         payload["grad_points_b"] = g.d_points_b.tolist()
     payload["report"] = _report_dict(result.report)
@@ -214,8 +204,6 @@ def _cmd_check(args) -> int:
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="uot", description=__doc__)
     parser.add_argument("--version", action="version", version=__version__)
-    parser.add_argument("--threads", default=None,
-                        help="cap internal thread pools (UOT_THREADS fallback)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("solve", help="dual potentials for one instance")
@@ -258,7 +246,6 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_ERROR
-    _apply_threads(args.threads)
     try:
         return args.fn(args)
     except FileNotFoundError as exc:

@@ -8,22 +8,28 @@ The debiased quantities combine one cross solve with two symmetric solves:
     S_eps(a, b) = OT_eps(a, b) + F_eps(a) + F_eps(b) - eps m(a) m(b),
 
 where ``F_eps(a) = -OT_eps(a, a)/2 + eps m(a)^2 / 2``.
+
+Values and gradients are read from one bundle of solves (``_Solved``,
+built by :func:`solve_terms`), which alone implements the ``S_eps``
+combination, ``F_eps`` and both envelope gradients; the public functions
+below, the CLI and the particle flow only read from it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
 
-from .entropies import KL, Entropy
+from .entropies import Entropy, _with_rho
 from .errors import DomainError, UnsupportedEntropyError
 from .measures import CostSpec, DiscreteMeasure
 from .sinkhorn import (CONVERGED, INFEASIBLE, DualPotentials, SolveOptions,
                        SolveReport, extrapolate, plan_matrix, solve,
-                       solve_symmetric, symmetric_potentials)
+                       solve_symmetric)
 
 _INF = math.inf
 
@@ -49,13 +55,6 @@ class Gradients:
     d_points_b: Optional[np.ndarray] = None
 
 
-def _kl_rhos(entropy, measure):
-    if isinstance(entropy, KL):
-        rho = entropy.rho_at(measure.points)
-        return entropy.rho if rho is None else rho
-    return None
-
-
 def quadratic_term(pots: DualPotentials, alpha: DiscreteMeasure,
                    beta: DiscreteMeasure, cost: np.ndarray,
                    method: str = "lse") -> float:
@@ -68,11 +67,7 @@ def quadratic_term(pots: DualPotentials, alpha: DiscreteMeasure,
         return math.exp(mx) * float(np.sum(np.exp(log_terms - mx)))
     if method == "conj":
         e = pots.entropy
-        rho = _kl_rhos(e, alpha)
-        if rho is not None:
-            grad = e.conj_grad(-pots.f, rho=rho)
-        else:
-            grad = e.conj_grad(-pots.f)
+        grad = _with_rho(e.conj_grad, -pots.f, rho=e.rho_at(alpha.points))
         return float(alpha.weights @ grad)
     raise DomainError(f"unknown quadratic method {method!r}")
 
@@ -89,84 +84,218 @@ def dual_value(pots: DualPotentials, alpha: DiscreteMeasure,
     """
     e, eps = pots.entropy, pots.eps
     mass_prod = alpha.total_mass * beta.total_mass
-    rho_a = _kl_rhos(e, alpha)
-    if rho_a is not None:
-        a_term = -float(alpha.weights @ e.conj(-pots.f, rho=rho_a))
-        b_term = -float(beta.weights @ e.conj(-pots.g, rho=_kl_rhos(e, beta)))
-    else:
-        a_term = -float(alpha.weights @ e.conj(-pots.f))
-        b_term = -float(beta.weights @ e.conj(-pots.g))
+    a_term = -float(alpha.weights @ _with_rho(e.conj, -pots.f,
+                                              rho=e.rho_at(alpha.points)))
+    b_term = -float(beta.weights @ _with_rho(e.conj, -pots.g,
+                                             rho=e.rho_at(beta.points)))
     method = "conj" if e.smooth else "lse"
     quad = quadratic_term(pots, alpha, beta, cost, method=method)
     return a_term + b_term - eps * (quad - mass_prod)
 
 
-def _null_ot_value(entropy, null_side_other: DiscreteMeasure) -> float:
-    """OT against the null measure: the plan degenerates to 0."""
-    if isinstance(entropy, KL) and entropy.rho_fn is not None:
-        rho = entropy.rho_at(null_side_other.points)
-        return float(null_side_other.weights @ rho)
-    return null_side_other.total_mass * entropy.phi_zero
+def _worst_report(*reports) -> SolveReport:
+    """The first status that is not converged, summed sweeps, largest update."""
+    worst = next((r for r in reports if not r.converged), reports[0])
+    return SolveReport(worst.status, sum(r.iterations for r in reports),
+                       max(r.final_update for r in reports))
+
+
+@dataclass
+class _Term:
+    """``OT_eps(alpha, beta)`` and its solve.  Null measures and infeasible
+    instances are not solved: ``pots`` stays ``None`` and the value is
+    ``closed_form``."""
+
+    alpha: DiscreteMeasure
+    beta: DiscreteMeasure
+    report: SolveReport
+    pots: Optional[DualPotentials] = None
+    cost: Optional[np.ndarray] = None
+    closed_form: float = 0.0
+
+    @cached_property
+    def ot(self) -> float:
+        if self.pots is None:
+            return self.closed_form
+        return dual_value(self.pots, self.alpha, self.beta, self.cost)
+
+    @cached_property
+    def plan(self) -> np.ndarray:
+        if self.pots is None:
+            raise DomainError("gradients need non-null measures and a "
+                              "feasible instance")
+        return plan_matrix(self.pots, self.alpha, self.beta, self.cost)
+
+    def oriented(self, side):
+        """Potential, own and other measure, and the plan with the own
+        atoms as rows, for side ``"a"`` or ``"b"``."""
+        if side == "a":
+            return self.pots.f, self.alpha, self.beta, self.plan
+        return self.pots.g, self.beta, self.alpha, self.plan.T
+
+
+def _term(alpha, beta, cost, entropy, eps, opts, symmetric=False) -> _Term:
+    """``OT_eps(alpha, beta)``; ``symmetric`` solves ``OT_eps(alpha, alpha)``
+    for its single potential (``beta`` is ``alpha``)."""
+    if alpha.is_null and beta.is_null:
+        return _Term(alpha, beta, SolveReport(CONVERGED, 0, 0.0))
+    if not entropy.feasible(alpha.total_mass, beta.total_mass):
+        return _Term(alpha, beta, SolveReport(INFEASIBLE, 0, _INF),
+                     closed_form=_INF)
+    if alpha.is_null or beta.is_null:
+        # against the null measure the plan degenerates to 0
+        other = beta if alpha.is_null else alpha
+        rho = entropy.rho_at(other.points)
+        value = (other.total_mass * entropy.phi_zero if rho is None
+                 else float(other.weights @ rho))
+        return _Term(alpha, beta, SolveReport(CONVERGED, 0, 0.0),
+                     closed_form=value)
+    c_matrix = cost.pairwise(alpha.points, beta.points)
+    if symmetric:
+        f, report = solve_symmetric(alpha, c_matrix, entropy, eps, opts)
+        pots = DualPotentials(f, f.copy(), eps, entropy)
+    else:
+        pots, report = solve(alpha, beta, c_matrix, entropy, eps, opts)
+    return _Term(alpha, beta, report, pots, c_matrix)
+
+
+def _entropy_value(term, entropy, eps) -> float:
+    """F_eps(a) = -OT_eps(a, a)/2 + eps m(a)^2 / 2 from a's self term."""
+    if term.alpha.is_null:
+        return 0.0 if entropy.phi_zero < _INF else _INF
+    mass = term.alpha.total_mass
+    return -0.5 * term.ot + 0.5 * eps * mass * mass
+
+
+def _ot_weight_grad(term, side) -> np.ndarray:
+    """Envelope gradient of OT_eps in one side's weights,
+    ``-phi*(-f) - eps*(pi 1 / a - m(other))``.  The plan's row sums equal
+    ``(phi*)'(-f)`` at a converged f-half-update, and exist for every
+    penalty whose conjugate is finite at ``f`` (TV and Range included)."""
+    pot, own, other, plan = term.oriented(side)
+    e = term.pots.entropy
+    conj = _with_rho(e.conj, -pot, rho=e.rho_at(own.points))
+    if np.any(np.isinf(conj)):
+        raise UnsupportedEntropyError(
+            f"subgradient unavailable for {e.name} at these potentials")
+    return -conj - term.pots.eps * (plan.sum(axis=1) / own.weights
+                                    - other.total_mass)
+
+
+def _ot_position_grad(term, side, cost) -> np.ndarray:
+    """Envelope gradient through the cost: ``sum_j pi_ij grad_x C(x_i, y_j)``."""
+    _, own, other, plan = term.oriented(side)
+    return np.einsum("ij,ijk->ik", plan, cost.grad_x(own.points, other.points))
+
+
+@dataclass
+class _Solved:
+    """The solves behind ``OT_eps(a, b)`` or, with the self terms
+    ``OT_eps(a, a)`` and ``OT_eps(b, b)``, ``S_eps(a, b)``; read on demand.
+    A flow step has no ``self_b``: it reads side ``"a"`` gradients only."""
+
+    cost: CostSpec
+    entropy: Entropy
+    eps: float
+    cross: _Term
+    self_a: Optional[_Term] = None
+    self_b: Optional[_Term] = None
+
+    def value(self) -> DivergenceValue:
+        cross = self.cross
+        if self.self_a is None or not math.isfinite(cross.ot):
+            return DivergenceValue(cross.ot, cross.pots, cross.report)
+        value = (cross.ot + _entropy_value(self.self_a, self.entropy, self.eps)
+                 + _entropy_value(self.self_b, self.entropy, self.eps)
+                 - self.eps * cross.alpha.total_mass * cross.beta.total_mass)
+        report = _worst_report(cross.report, self.self_a.report,
+                               self.self_b.report)
+        return DivergenceValue(value, cross.pots, report)
+
+    def weight_grad(self, side: str) -> np.ndarray:
+        """Gradient in the weights of side ``"a"`` or ``"b"``."""
+        grad = _ot_weight_grad(self.cross, side)
+        own_term = self.self_a if side == "a" else self.self_b
+        if own_term is not None:
+            _, own, other, _ = self.cross.oriented(side)
+            grad = (grad - _ot_weight_grad(own_term, "a")
+                    + self.eps * (own.total_mass - other.total_mass))
+        return grad
+
+    def position_grad(self, side: str) -> np.ndarray:
+        """Gradient in the positions of side ``"a"`` or ``"b"``."""
+        grad = _ot_position_grad(self.cross, side, self.cost)
+        own_term = self.self_a if side == "a" else self.self_b
+        if own_term is not None:
+            grad = grad - _ot_position_grad(own_term, "a", self.cost)
+        return grad
+
+    def grad_weights(self) -> Gradients:
+        if not self.entropy.smooth:
+            raise UnsupportedEntropyError(
+                f"weight gradients undefined for {self.entropy.name}")
+        return Gradients(d_weights_a=self.weight_grad("a"),
+                         d_weights_b=self.weight_grad("b"))
+
+    def grad_positions(self) -> Gradients:
+        return Gradients(d_points_a=self.position_grad("a"),
+                         d_points_b=self.position_grad("b"))
+
+
+def solve_terms(alpha: DiscreteMeasure, beta: DiscreteMeasure, cost: CostSpec,
+                entropy: Entropy, eps: float, which: str,
+                opts: Optional[SolveOptions] = None) -> _Solved:
+    """Run, once, the solves behind ``OT_eps`` (``which="ot"``: the cross
+    solve) or ``S_eps`` (``which="s"``: plus a symmetric solve per measure);
+    the value and both gradients are then read from the result."""
+    if which not in ("ot", "s"):
+        raise DomainError("which must be 'ot' or 's'")
+    cross = _term(alpha, beta, cost, entropy, eps, opts)
+    self_a = self_b = None
+    if which == "s" and cross.report.status != INFEASIBLE:
+        self_a = _term(alpha, alpha, cost, entropy, eps, opts, symmetric=True)
+        self_b = _term(beta, beta, cost, entropy, eps, opts, symmetric=True)
+    return _Solved(cost, entropy, eps, cross, self_a, self_b)
 
 
 def ot_eps(alpha: DiscreteMeasure, beta: DiscreteMeasure, cost: CostSpec,
            entropy: Entropy, eps: float,
            opts: Optional[SolveOptions] = None) -> DivergenceValue:
     """Entropic unbalanced transport cost between two measures."""
-    trivial = SolveReport(CONVERGED, 0, 0.0)
-    if alpha.is_null and beta.is_null:
-        return DivergenceValue(0.0, None, trivial)
-    if not entropy.feasible(alpha.total_mass, beta.total_mass):
-        return DivergenceValue(_INF, None, SolveReport(INFEASIBLE, 0, _INF))
-    if alpha.is_null or beta.is_null:
-        other = beta if alpha.is_null else alpha
-        return DivergenceValue(_null_ot_value(entropy, other), None, trivial)
-    c_matrix = cost.pairwise(alpha.points, beta.points)
-    pots, report = solve(alpha, beta, c_matrix, entropy, eps, opts)
-    return DivergenceValue(dual_value(pots, alpha, beta, c_matrix), pots, report)
+    return solve_terms(alpha, beta, cost, entropy, eps, "ot", opts).value()
 
 
 def sinkhorn_entropy(alpha: DiscreteMeasure, cost: CostSpec, entropy: Entropy,
                      eps: float,
                      opts: Optional[SolveOptions] = None) -> DivergenceValue:
     """F_eps(a) = -OT_eps(a, a)/2 + eps m(a)^2 / 2, via the symmetric solve."""
-    if alpha.is_null:
-        value = 0.0 if entropy.phi_zero < _INF else _INF
-        return DivergenceValue(value, None, SolveReport(CONVERGED, 0, 0.0))
-    c_matrix = cost.pairwise(alpha.points, alpha.points)
-    pots, report = symmetric_potentials(alpha, c_matrix, entropy, eps, opts)
-    ot_aa = dual_value(pots, alpha, alpha, c_matrix)
-    mass = alpha.total_mass
-    return DivergenceValue(-0.5 * ot_aa + 0.5 * eps * mass * mass, pots, report)
+    term = _term(alpha, alpha, cost, entropy, eps, opts, symmetric=True)
+    return DivergenceValue(_entropy_value(term, entropy, eps), term.pots,
+                           term.report)
 
 
 def sinkhorn_divergence(alpha: DiscreteMeasure, beta: DiscreteMeasure,
                         cost: CostSpec, entropy: Entropy, eps: float,
                         opts: Optional[SolveOptions] = None) -> DivergenceValue:
-    """Debiased divergence; zero on the diagonal, positive for kernel costs."""
+    """Debiased divergence; zero on the diagonal, positive for kernel costs.
+
+    Its ``report`` is the worst of the three solves behind it.
+    """
     if alpha is beta:
         # one symmetric solve serves the cross and both self terms, so the
         # cancellation is exact
-        fa = sinkhorn_entropy(alpha, cost, entropy, eps, opts)
-        return DivergenceValue(0.0, fa.potentials, fa.report)
-    cross = ot_eps(alpha, beta, cost, entropy, eps, opts)
-    if not cross.finite:
-        return cross
-    fa = sinkhorn_entropy(alpha, cost, entropy, eps, opts)
-    fb = sinkhorn_entropy(beta, cost, entropy, eps, opts)
-    value = (cross.value + fa.value + fb.value
-             - eps * alpha.total_mass * beta.total_mass)
-    return DivergenceValue(value, cross.potentials, cross.report)
+        term = _term(alpha, alpha, cost, entropy, eps, opts, symmetric=True)
+        return DivergenceValue(0.0, term.pots, term.report)
+    return solve_terms(alpha, beta, cost, entropy, eps, "s", opts).value()
 
 
 def _entropy_grad_fn(entropy, eps, measure):
     """x-dependent gradient of F_eps as a function of the symmetric potential."""
-    rho = _kl_rhos(entropy, measure)
+    rho = entropy.rho_at(measure.points)
 
     def grad(pot):
-        if rho is not None:
-            return entropy.conj(-pot, rho=rho) + eps * entropy.conj_grad(-pot, rho=rho)
-        return entropy.conj(-pot) + eps * entropy.conj_grad(-pot)
+        return (_with_rho(entropy.conj, -pot, rho=rho)
+                + eps * _with_rho(entropy.conj_grad, -pot, rho=rho))
 
     return grad
 
@@ -186,10 +315,9 @@ def hausdorff_divergence(alpha: DiscreteMeasure, beta: DiscreteMeasure,
         raise DomainError("Hausdorff divergence requires non-null measures")
     if alpha is beta:
         return DivergenceValue(0.0, None, SolveReport(CONVERGED, 0, 0.0))
-    c_aa = cost.pairwise(alpha.points, alpha.points)
-    c_bb = cost.pairwise(beta.points, beta.points)
-    pots_a, rep_a = symmetric_potentials(alpha, c_aa, entropy, eps, opts)
-    pots_b, rep_b = symmetric_potentials(beta, c_bb, entropy, eps, opts)
+    term_a = _term(alpha, alpha, cost, entropy, eps, opts, symmetric=True)
+    term_b = _term(beta, beta, cost, entropy, eps, opts, symmetric=True)
+    pots_a, pots_b = term_a.pots, term_b.pots
     f_on_b = extrapolate(pots_a, "a", alpha, beta.points, cost)
     g_on_a = extrapolate(pots_b, "a", beta, alpha.points, cost)
 
@@ -199,51 +327,16 @@ def hausdorff_divergence(alpha: DiscreteMeasure, beta: DiscreteMeasure,
     on_a = del_f_a(pots_a.f) - del_f_b(g_on_a)
     on_b = del_f_a(f_on_b) - del_f_b(pots_b.f)
     value = float(alpha.weights @ on_a) - float(beta.weights @ on_b)
-    worst = rep_a if not rep_a.converged else rep_b
-    report = SolveReport(worst.status, rep_a.iterations + rep_b.iterations,
-                         max(rep_a.final_update, rep_b.final_update))
-    return DivergenceValue(value, None, report)
-
-
-def _ot_weight_grad(entropy, eps, pot, other_mass, rho):
-    """Envelope gradient in the weights: -phi*(-f) - eps*((phi*)'(-f) - m(other))."""
-    if rho is not None:
-        conj = entropy.conj(-pot, rho=rho)
-        cgrad = entropy.conj_grad(-pot, rho=rho)
-    else:
-        conj = entropy.conj(-pot)
-        cgrad = entropy.conj_grad(-pot)
-    return -conj - eps * (cgrad - other_mass)
+    return DivergenceValue(value, None,
+                           _worst_report(term_a.report, term_b.report))
 
 
 def grad_weights(alpha: DiscreteMeasure, beta: DiscreteMeasure, cost: CostSpec,
                  entropy: Entropy, eps: float, which: str = "ot",
                  opts: Optional[SolveOptions] = None) -> Gradients:
     """Gradient of OT_eps or S_eps with respect to the atom weights."""
-    if not entropy.smooth:
-        raise UnsupportedEntropyError(
-            f"weight gradients undefined for {entropy.name}")
-    if which not in ("ot", "s"):
-        raise DomainError("which must be 'ot' or 's'")
-    if alpha.is_null or beta.is_null:
-        raise DomainError("weight gradients require non-null measures")
-    ma, mb = alpha.total_mass, beta.total_mass
-    rho_a = entropy.rho_at(alpha.points) if isinstance(entropy, KL) else None
-    rho_b = entropy.rho_at(beta.points) if isinstance(entropy, KL) else None
-    c_ab = cost.pairwise(alpha.points, beta.points)
-    pots, _ = solve(alpha, beta, c_ab, entropy, eps, opts)
-    if pots is None:
-        raise DomainError("infeasible instance has no gradient")
-    ga = _ot_weight_grad(entropy, eps, pots.f, mb, rho_a)
-    gb = _ot_weight_grad(entropy, eps, pots.g, ma, rho_b)
-    if which == "s":
-        f_a, _ = solve_symmetric(alpha, cost.pairwise(alpha.points, alpha.points),
-                                 entropy, eps, opts)
-        g_b, _ = solve_symmetric(beta, cost.pairwise(beta.points, beta.points),
-                                 entropy, eps, opts)
-        ga = ga - _ot_weight_grad(entropy, eps, f_a, ma, rho_a) + eps * (ma - mb)
-        gb = gb - _ot_weight_grad(entropy, eps, g_b, mb, rho_b) + eps * (mb - ma)
-    return Gradients(d_weights_a=ga, d_weights_b=gb)
+    return solve_terms(alpha, beta, cost, entropy, eps, which,
+                       opts).grad_weights()
 
 
 def grad_positions(alpha: DiscreteMeasure, beta: DiscreteMeasure,
@@ -251,28 +344,5 @@ def grad_positions(alpha: DiscreteMeasure, beta: DiscreteMeasure,
                    which: str = "ot",
                    opts: Optional[SolveOptions] = None) -> Gradients:
     """Envelope gradient through the cost: ``sum_j pi_ij grad_x C(x_i, y_j)``."""
-    if which not in ("ot", "s"):
-        raise DomainError("which must be 'ot' or 's'")
-    if alpha.is_null or beta.is_null:
-        raise DomainError("position gradients require non-null measures")
-    c_ab = cost.pairwise(alpha.points, beta.points)
-    pots, _ = solve(alpha, beta, c_ab, entropy, eps, opts)
-    if pots is None:
-        raise DomainError("infeasible instance has no gradient")
-    pi = plan_matrix(pots, alpha, beta, c_ab)
-    ga = np.einsum("ij,ijk->ik", pi, cost.grad_x(alpha.points, beta.points))
-    gb = np.einsum("ji,ijk->ik", pi, cost.grad_x(beta.points, alpha.points))
-    if which == "s":
-        c_aa = cost.pairwise(alpha.points, alpha.points)
-        f_a, _ = solve_symmetric(alpha, c_aa, entropy, eps, opts)
-        pi_aa = plan_matrix(DualPotentials(f_a, f_a, eps, entropy),
-                            alpha, alpha, c_aa)
-        ga = ga - np.einsum("ij,ijk->ik", pi_aa,
-                            cost.grad_x(alpha.points, alpha.points))
-        c_bb = cost.pairwise(beta.points, beta.points)
-        g_b, _ = solve_symmetric(beta, c_bb, entropy, eps, opts)
-        pi_bb = plan_matrix(DualPotentials(g_b, g_b, eps, entropy),
-                            beta, beta, c_bb)
-        gb = gb - np.einsum("ij,ijk->ik", pi_bb,
-                            cost.grad_x(beta.points, beta.points))
-    return Gradients(d_points_a=ga, d_points_b=gb)
+    return solve_terms(alpha, beta, cost, entropy, eps, which,
+                       opts).grad_positions()

@@ -41,6 +41,11 @@ _INF = math.inf
 _BALANCED_MASS_RTOL = 1e-9
 
 
+def _with_rho(method, *args, rho=None):
+    """Call an entropy map, passing per-atom strengths only when they vary."""
+    return method(*args) if rho is None else method(*args, rho=rho)
+
+
 def _ext(values, mask_finite, finite_values):
     """Piecewise fill: +inf outside ``mask_finite``."""
     out = np.full_like(values, _INF, dtype=float)
@@ -67,6 +72,10 @@ class Entropy:
 
     def damp(self, eps: float, p):
         raise NotImplementedError
+
+    def rho_at(self, points: np.ndarray):
+        """Per-atom penalty strengths at ``points``; ``None`` when uniform."""
+        return None
 
     def aprox(self, eps: float, p):
         """The anisotropic proximity operator itself, ``-damp(-p)``.

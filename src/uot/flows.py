@@ -4,6 +4,10 @@ Particles carry positions ``x_i`` and mass parameters ``r_i`` with
 ``alpha_i = r_i^2``; positions take forward gradient steps, masses take
 multiplicative (mirror) steps, so they stay positive by construction.
 Successive solves are warm-started from the previous step's potentials.
+
+Each step builds the solve bundle of :mod:`uot.divergences` and reads the
+gradients from it; snapshots add the target's self term, solved once per
+run, and read ``S_eps`` from it too.  The formulas live in that module only.
 """
 
 from __future__ import annotations
@@ -13,11 +17,11 @@ from typing import List, Optional
 
 import numpy as np
 
-from .divergences import dual_value, sinkhorn_entropy
+from .divergences import _Solved, _term
 from .entropies import Balanced, Entropy, KL
-from .errors import DomainError, UnsupportedEntropyError
+from .errors import DomainError
 from .measures import CostSpec, DiscreteMeasure
-from .sinkhorn import DualPotentials, SolveOptions, plan_matrix, solve, solve_symmetric
+from .sinkhorn import SolveOptions
 
 
 @dataclass
@@ -85,90 +89,31 @@ class FlowParams:
 _EXP_CLIP = 200.0
 
 
-def _weight_subgradient(entropy, eps, pot, pi, weights, other_mass, rho):
-    """An element of the weight subdifferential of OT_eps.
-
-    Works for any penalty whose conjugate is finite at the potentials
-    (smooth families, TV, Range); the quadratic term comes from the plan's
-    row sums rather than the conjugate derivative.
-    """
-    conj = entropy.conj(-pot) if rho is None else entropy.conj(-pot, rho=rho)
-    if np.any(np.isinf(conj)):
-        raise UnsupportedEntropyError(
-            f"subgradient unavailable for {entropy.name} at these potentials")
-    return -conj - eps * (pi.sum(axis=1) / weights - other_mass)
-
-
 class _FlowWorkspace:
-    """Per-run cache: target-side solves and warm-start potentials."""
+    """Per-run cache: the warm-start potentials."""
 
     def __init__(self, target: DiscreteMeasure, cost: CostSpec, params: FlowParams):
         self.target = target
         self.cost = cost
         self.params = params
-        self.f_ab = None
-        self.g_ab = None
-        self.f_aa = None
-        self._f_eps_target = None
+        self.warm_ab = self.warm_aa = "asymptotic"
 
-    @property
-    def f_eps_target(self) -> float:
-        if self._f_eps_target is None:
-            p = self.params
-            opts = SolveOptions(tol=p.solve_tol, max_iter=p.solve_max_iter)
-            self._f_eps_target = sinkhorn_entropy(
-                self.target, self.cost, p.entropy, p.eps, opts).value
-        return self._f_eps_target
-
-    def _opts(self, warm):
+    def _opts(self, init):
         return SolveOptions(tol=self.params.solve_tol,
-                            max_iter=self.params.solve_max_iter,
-                            init=warm if warm is not None else "asymptotic")
+                            max_iter=self.params.solve_max_iter, init=init)
 
-    def solves(self, alpha: DiscreteMeasure):
+    def solve(self, alpha: DiscreteMeasure, target_term=None) -> _Solved:
+        """The S_eps bundle at ``alpha``, warm-started from the last one;
+        only its value needs ``target_term``."""
         p = self.params
-        c_ab = self.cost.pairwise(alpha.points, self.target.points)
-        warm = (self.f_ab, self.g_ab) if self.f_ab is not None else None
-        pots, rep = solve(alpha, self.target, c_ab, p.entropy, p.eps,
-                          self._opts(warm))
-        if pots is None:
+        cross = _term(alpha, self.target, self.cost, p.entropy, p.eps,
+                      self._opts(self.warm_ab))
+        if cross.pots is None:
             raise DomainError("flow hit an infeasible configuration")
-        c_aa = self.cost.pairwise(alpha.points, alpha.points)
-        f_aa, rep_s = solve_symmetric(alpha, c_aa, p.entropy, p.eps,
-                                      self._opts(self.f_aa))
-        self.f_ab, self.g_ab, self.f_aa = pots.f, pots.g, f_aa
-        return pots, c_ab, f_aa, c_aa
-
-    def s_eps(self, alpha, pots, c_ab, f_aa, c_aa) -> float:
-        p = self.params
-        ot_ab = dual_value(pots, alpha, self.target, c_ab)
-        ot_aa = dual_value(DualPotentials(f_aa, f_aa, p.eps, p.entropy),
-                           alpha, alpha, c_aa)
-        ma = alpha.total_mass
-        f_eps_alpha = -0.5 * ot_aa + 0.5 * p.eps * ma * ma
-        return (ot_ab + f_eps_alpha + self.f_eps_target
-                - p.eps * ma * self.target.total_mass)
-
-
-def _grads(alpha, workspace):
-    p = workspace.params
-    target, cost = workspace.target, workspace.cost
-    pots, c_ab, f_aa, c_aa = workspace.solves(alpha)
-    pi_ab = plan_matrix(pots, alpha, target, c_ab)
-    pots_aa = DualPotentials(f_aa, f_aa, p.eps, p.entropy)
-    pi_aa = plan_matrix(pots_aa, alpha, alpha, c_aa)
-    g_pos = (np.einsum("ij,ijk->ik", pi_ab, cost.grad_x(alpha.points, target.points))
-             - np.einsum("ij,ijk->ik", pi_aa, cost.grad_x(alpha.points, alpha.points)))
-    g_weights = None
-    if p.mass_updates_active:
-        rho = p.entropy.rho_at(alpha.points) if isinstance(p.entropy, KL) else None
-        ma, mb = alpha.total_mass, target.total_mass
-        g_weights = (_weight_subgradient(p.entropy, p.eps, pots.f, pi_ab,
-                                         alpha.weights, mb, rho)
-                     - _weight_subgradient(p.entropy, p.eps, f_aa, pi_aa,
-                                           alpha.weights, ma, rho)
-                     + p.eps * (ma - mb))
-    return g_pos, g_weights, (pots, c_ab, f_aa, c_aa)
+        self_a = _term(alpha, alpha, self.cost, p.entropy, p.eps,
+                       self._opts(self.warm_aa), symmetric=True)
+        self.warm_ab, self.warm_aa = (cross.pots.f, cross.pots.g), self_a.pots.f
+        return _Solved(self.cost, p.entropy, p.eps, cross, self_a, target_term)
 
 
 def flow_step(state: FlowState, target: DiscreteMeasure, cost: CostSpec,
@@ -177,13 +122,13 @@ def flow_step(state: FlowState, target: DiscreteMeasure, cost: CostSpec,
     """One synchronous update of every particle."""
     if workspace is None:
         workspace = _FlowWorkspace(target, cost, params)
-    alpha = state.measure()
-    g_pos, g_weights, _ = _grads(alpha, workspace)
+    solved = workspace.solve(state.measure())
+    g_pos = solved.position_grad("a")
     positions = state.positions - params.eta_x * g_pos
     r = state.r
-    if g_weights is not None:
+    if params.mass_updates_active:
         rate = params.eta_x if params.mass_rate == "printed" else params.eta_r
-        grad_r = 2.0 * r * g_weights
+        grad_r = 2.0 * r * solved.weight_grad("a")
         r = r * np.exp(np.clip(-2.0 * rate * grad_r, -_EXP_CLIP, _EXP_CLIP))
     return FlowState(positions, r, state.step + 1)
 
@@ -198,13 +143,13 @@ def run_flow(init: FlowState, target: DiscreteMeasure, cost: CostSpec,
     if snapshot_every < 1:
         raise DomainError("snapshot_every must be >= 1")
     workspace = _FlowWorkspace(target, cost, params)
+    target_term = _term(target, target, cost, params.entropy, params.eps,
+                        workspace._opts("asymptotic"), symmetric=True)
 
     def snapshot(state: FlowState) -> FlowState:
-        alpha = state.measure()
-        pots, c_ab, f_aa, c_aa = workspace.solves(alpha)
-        value = workspace.s_eps(alpha, pots, c_ab, f_aa, c_aa)
+        solved = workspace.solve(state.measure(), target_term)
         return replace(state, positions=state.positions.copy(),
-                       r=state.r.copy(), s_eps=value)
+                       r=state.r.copy(), s_eps=solved.value().value)
 
     trajectory = [snapshot(init)]
     state = init

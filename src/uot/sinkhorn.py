@@ -17,7 +17,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .entropies import KL, Entropy, parse_entropy
+from .entropies import Entropy, _with_rho, parse_entropy
 from .errors import DomainError
 from .measures import CostSpec, DiscreteMeasure
 
@@ -56,12 +56,6 @@ def _softmin_rows(eps, log_w, pot, cost):
     return _softmin_rows_scaled(eps, log_w, pot, cost / eps)
 
 
-def _damp(entropy, eps, values, rho):
-    if rho is None:
-        return entropy.damp(eps, values)
-    return entropy.damp(eps, values, rho=rho)
-
-
 def half_update(eps: float, entropy: Entropy, m_other: DiscreteMeasure,
                 pot_other: np.ndarray, cost_rows: np.ndarray,
                 rho=None) -> np.ndarray:
@@ -75,7 +69,7 @@ def half_update(eps: float, entropy: Entropy, m_other: DiscreteMeasure,
     smin = _softmin_rows(eps, m_other.log_weights,
                          np.asarray(pot_other, dtype=float),
                          np.asarray(cost_rows, dtype=float))
-    return _damp(entropy, eps, smin, rho)
+    return _with_rho(entropy.damp, eps, smin, rho=rho)
 
 
 @dataclass
@@ -149,12 +143,6 @@ def _resolve_init(init, entropy, eps, alpha, beta, cost):
     raise DomainError(f"unknown init {init!r}")
 
 
-def _atom_rhos(entropy, alpha, beta):
-    if isinstance(entropy, KL) and entropy.rho_fn is not None:
-        return entropy.rho_at(alpha.points), entropy.rho_at(beta.points)
-    return None, None
-
-
 def solve(alpha: DiscreteMeasure, beta: DiscreteMeasure, cost: np.ndarray,
           entropy: Entropy, eps: float,
           opts: Optional[SolveOptions] = None):
@@ -179,7 +167,7 @@ def solve(alpha: DiscreteMeasure, beta: DiscreteMeasure, cost: np.ndarray,
         raise DomainError(f"cost shape {cost.shape} does not match supports "
                           f"({len(alpha)}, {len(beta)})")
 
-    rho_a, rho_b = _atom_rhos(entropy, alpha, beta)
+    rho_a, rho_b = entropy.rho_at(alpha.points), entropy.rho_at(beta.points)
     f, g = _resolve_init(opts.init, entropy, eps, alpha, beta, cost)
     log_a, log_b = alpha.log_weights, beta.log_weights
     cost_eps = cost / eps
@@ -189,10 +177,10 @@ def solve(alpha: DiscreteMeasure, beta: DiscreteMeasure, cost: np.ndarray,
     status, update = MAX_ITER, np.inf
     it = 0
     for it in range(1, opts.max_iter + 1):
-        g_new = _damp(entropy, eps,
-                      _softmin_rows_scaled(eps, log_a, f, cost_eps_t), rho_b)
-        f_new = _damp(entropy, eps,
-                      _softmin_rows_scaled(eps, log_b, g_new, cost_eps), rho_a)
+        g_new = _with_rho(entropy.damp, eps,
+                          _softmin_rows_scaled(eps, log_a, f, cost_eps_t), rho=rho_b)
+        f_new = _with_rho(entropy.damp, eps,
+                          _softmin_rows_scaled(eps, log_b, g_new, cost_eps), rho=rho_a)
         update = max(float(np.abs(f_new - f).max()),
                      float(np.abs(g_new - g).max()))
         f, g = f_new, g_new
@@ -220,7 +208,7 @@ def solve_symmetric(alpha: DiscreteMeasure, cost: np.ndarray, entropy: Entropy,
     if alpha.is_null:
         raise DomainError("solve_symmetric requires a non-null measure")
     cost = np.asarray(cost, dtype=float)
-    rho_a, _ = _atom_rhos(entropy, alpha, alpha)
+    rho_a = entropy.rho_at(alpha.points)
     log_a = alpha.log_weights
 
     if isinstance(opts.init, (tuple, list, np.ndarray)):
@@ -236,8 +224,8 @@ def solve_symmetric(alpha: DiscreteMeasure, cost: np.ndarray, entropy: Entropy,
     cost_eps = cost / eps
     it = 0
     for it in range(1, opts.max_iter + 1):
-        tf = _damp(entropy, eps,
-                   _softmin_rows_scaled(eps, log_a, f, cost_eps), rho_a)
+        tf = _with_rho(entropy.damp, eps,
+                       _softmin_rows_scaled(eps, log_a, f, cost_eps), rho=rho_a)
         resid = float(np.max(np.abs(tf - f)))
         f = 0.5 * (f + tf)
         if history is not None:
@@ -275,7 +263,7 @@ def extrapolate(pots: DualPotentials, side: str, m_other: DiscreteMeasure,
     if pts.ndim == 1:
         pts = pts.reshape(-1, 1)
     rows = cost.pairwise(pts, m_other.points)
-    if rho is None and isinstance(pots.entropy, KL) and pots.entropy.rho_fn is not None:
+    if rho is None:
         rho = pots.entropy.rho_at(pts)
     return half_update(pots.eps, pots.entropy, m_other, pot_other, rows, rho=rho)
 

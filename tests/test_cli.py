@@ -4,7 +4,9 @@ import math
 import numpy as np
 import pytest
 
-from uot import DiscreteMeasure
+import uot.divergences
+from uot import (KL, CostSpec, DiscreteMeasure, grad_positions, grad_weights,
+                 sinkhorn_divergence)
 from uot.cli import main
 
 
@@ -128,3 +130,48 @@ def test_csv_measure_input_and_csv_output(tmp_path, capsys):
     assert code == 0
     out = capsys.readouterr().out
     assert out.startswith("value,")
+
+
+@pytest.fixture()
+def cloud_files(tmp_path):
+    rng = np.random.default_rng(5)
+    a = DiscreteMeasure(rng.uniform(0.5, 1.5, 30) / 30, rng.random((30, 2)))
+    b = DiscreteMeasure(rng.uniform(0.5, 1.5, 25) / 25, rng.random((25, 2)))
+    paths = str(tmp_path / "a.json"), str(tmp_path / "b.json")
+    a.save_json(paths[0])
+    b.save_json(paths[1])
+    return a, b, paths
+
+
+def test_grad_runs_one_cross_and_two_self_solves(cloud_files, monkeypatch,
+                                                 capsys):
+    calls = {"solve": 0, "solve_symmetric": 0}
+
+    def counted(name):
+        inner = getattr(uot.divergences, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return inner(*args, **kwargs)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(uot.divergences, name, counted(name))
+    _, _, (a, b) = cloud_files
+    assert main(["grad", "--which", "s", "--target", "both", a, b]) == 0
+    assert calls == {"solve": 1, "solve_symmetric": 2}
+
+
+def test_grad_matches_the_separate_functions(cloud_files, capsys):
+    alpha, beta, (a, b) = cloud_files
+    assert main(["grad", "--which", "s", "--target", "both",
+                 "--entropy", "kl:rho=0.5", "--eps", "0.1", a, b]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    args = (alpha, beta, CostSpec.sq_euclidean(), KL(0.5), 0.1)
+    assert payload["value"] == sinkhorn_divergence(*args).value
+    gw = grad_weights(*args, "s")
+    gp = grad_positions(*args, "s")
+    assert np.array_equal(payload["grad_weights_a"], gw.d_weights_a)
+    assert np.array_equal(payload["grad_weights_b"], gw.d_weights_b)
+    assert np.array_equal(payload["grad_points_a"], gp.d_points_a)
+    assert np.array_equal(payload["grad_points_b"], gp.d_points_b)

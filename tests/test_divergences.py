@@ -174,6 +174,21 @@ def test_divergence_infeasible_cross_term():
     assert math.isinf(sinkhorn_divergence(a, b, SQ, Range(a=0.5, b=1.5), 1.0).value)
 
 
+def test_divergence_reports_a_self_solve_stopped_at_max_iter():
+    # on this instance the cross solve converges in 23 sweeps and the self
+    # solve of ``a`` needs 24: a budget of 23 stops only the self solve
+    n = 8
+    rng = np.random.default_rng([4, n])
+    a = DiscreteMeasure(rng.uniform(0.5, 1.5, n) / n, rng.random((n, 2)))
+    b = DiscreteMeasure(rng.uniform(0.5, 1.5, n) / n * 1.2, rng.random((n, 2)))
+    assert ot_eps(a, b, SQ, KL(0.1), 0.05).report.iterations == 23
+    assert sinkhorn_entropy(a, SQ, KL(0.1), 0.05).report.iterations == 24
+    res = sinkhorn_divergence(a, b, SQ, KL(0.1), 0.05,
+                              SolveOptions(max_iter=23))
+    assert res.report.status == "max_iter"
+    assert res.report.iterations > 23  # sweeps of all three solves
+
+
 # ------------------------------------------------------------- hausdorff
 
 

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from uot import (KL, TV, Balanced, CostSpec, DiscreteMeasure, DomainError,
-                 FlowParams, FlowState, flow_step, run_flow)
+                 FlowParams, FlowState, SolveOptions, flow_step, run_flow,
+                 sinkhorn_divergence)
 
 SQ = CostSpec.sq_euclidean()
 
@@ -156,3 +157,18 @@ def test_flow_params_validation():
         FlowParams(eps=0.0)
     with pytest.raises(DomainError):
         FlowParams(mass_rate="other")
+
+
+@pytest.mark.parametrize("entropy", [KL(0.1), TV(0.1)])
+def test_snapshot_value_is_the_divergence(entropy):
+    rng = np.random.default_rng(69)
+    target = blob(rng, 8, 0.6, 1.0)
+    src = blob(rng, 8, 0.4, 1.3)
+    state = FlowState(src.points, np.sqrt(src.weights))
+    params = FlowParams(eta_x=6.0, entropy=entropy, eps=0.01, steps=4,
+                        solve_tol=1e-10, mass_rate="eta_r")
+    opts = SolveOptions(tol=1e-10)
+    for snap in run_flow(state, target, SQ, params, snapshot_every=2):
+        expected = sinkhorn_divergence(snap.measure(), target, SQ, entropy,
+                                       0.01, opts).value
+        assert snap.s_eps == pytest.approx(expected, rel=1e-8, abs=1e-9)
