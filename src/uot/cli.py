@@ -192,12 +192,7 @@ def _cmd_flow(args) -> int:
 
 def _cmd_check(args) -> int:
     report = run_checks(seed=args.seed)
-    text = json.dumps(report, indent=2)
-    if args.output is None:
-        print(text)
-    else:
-        with open(args.output, "w") as fh:
-            fh.write(text + "\n")
+    _emit(report, args)
     return EXIT_OK if report["all_passed"] else EXIT_ERROR
 
 
@@ -236,7 +231,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("check", help="run the brute-force oracle suite")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--output", "-o", default=None)
-    p.set_defaults(fn=_cmd_check)
+    p.set_defaults(fn=_cmd_check, format="json")
     return parser
 
 

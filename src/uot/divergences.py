@@ -28,8 +28,8 @@ from .entropies import Entropy, _with_rho
 from .errors import DomainError, UnsupportedEntropyError
 from .measures import CostSpec, DiscreteMeasure
 from .sinkhorn import (CONVERGED, INFEASIBLE, DualPotentials, SolveOptions,
-                       SolveReport, extrapolate, plan_matrix, solve,
-                       solve_symmetric)
+                       SolveReport, _log_plan, extrapolate, plan_matrix,
+                       solve, solve_symmetric)
 
 _INF = math.inf
 
@@ -61,8 +61,7 @@ def quadratic_term(pots: DualPotentials, alpha: DiscreteMeasure,
     """``<a (x) b, exp((f + g - C)/eps)>`` by stabilized LSE or, for smooth
     conjugates, through the pointwise identity ``<a, (phi*)'(-f)>``."""
     if method == "lse":
-        log_terms = (alpha.log_weights[:, None] + beta.log_weights[None, :]
-                     + (pots.f[:, None] + pots.g[None, :] - cost) / pots.eps)
+        log_terms = _log_plan(pots, alpha, beta, cost)
         mx = float(np.max(log_terms))
         return math.exp(mx) * float(np.sum(np.exp(log_terms - mx)))
     if method == "conj":
@@ -203,7 +202,9 @@ class _Solved:
 
     def value(self) -> DivergenceValue:
         cross = self.cross
-        if self.self_a is None or not math.isfinite(cross.ot):
+        # S_eps(null, null) = 0 although F_eps(null) may be inf
+        both_null = cross.alpha.is_null and cross.beta.is_null
+        if self.self_a is None or both_null or not math.isfinite(cross.ot):
             return DivergenceValue(cross.ot, cross.pots, cross.report)
         value = (cross.ot + _entropy_value(self.self_a, self.entropy, self.eps)
                  + _entropy_value(self.self_b, self.entropy, self.eps)

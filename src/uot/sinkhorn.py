@@ -8,6 +8,10 @@ followed by the entropy's pointwise dampening map:
 
 Potentials are kept in the log domain throughout; the only exponentials
 taken are max-shifted, so the loop is stable down to very small ``eps``.
+
+``solve`` (g then f) and ``solve_symmetric`` (an averaged map) share one
+entry check, one ``init`` parser, one damped half-update and one stopping
+rule, ``_iterate``: a per-solve timer or a strict ``max_iter`` check goes there.
 """
 
 from __future__ import annotations
@@ -36,9 +40,8 @@ def softmin(eps: float, measure: DiscreteMeasure, values) -> float:
     if h.shape != measure.weights.shape:
         raise DomainError(f"value vector of length {h.shape} over "
                           f"{len(measure)} atoms")
-    u = measure.log_weights - h / eps
-    m = np.max(u)
-    return float(-eps * (m + np.log(np.sum(np.exp(u - m)))))
+    return float(_softmin_rows_scaled(eps, measure.log_weights,
+                                      np.zeros_like(h), (h / eps)[None, :])[0])
 
 
 def _softmin_rows_scaled(eps, log_w, pot, cost_over_eps):
@@ -51,9 +54,10 @@ def _softmin_rows_scaled(eps, log_w, pot, cost_over_eps):
     return -eps * (mx + np.log(tmp.sum(axis=1)))
 
 
-def _softmin_rows(eps, log_w, pot, cost):
-    """Vector of softmins over the columns: one value per row of ``cost``."""
-    return _softmin_rows_scaled(eps, log_w, pot, cost / eps)
+def _damped(eps, entropy, log_w, pot, cost_over_eps, rho):
+    """The damped half-update, one value per row of ``cost_over_eps``."""
+    smin = _softmin_rows_scaled(eps, log_w, pot, cost_over_eps)
+    return _with_rho(entropy.damp, eps, smin, rho=rho)
 
 
 def half_update(eps: float, entropy: Entropy, m_other: DiscreteMeasure,
@@ -66,19 +70,20 @@ def half_update(eps: float, entropy: Entropy, m_other: DiscreteMeasure,
     """
     if m_other.is_null:
         raise DomainError("half update against the null measure")
-    smin = _softmin_rows(eps, m_other.log_weights,
-                         np.asarray(pot_other, dtype=float),
-                         np.asarray(cost_rows, dtype=float))
-    return _with_rho(entropy.damp, eps, smin, rho=rho)
+    return _damped(eps, entropy, m_other.log_weights,
+                   np.asarray(pot_other, dtype=float),
+                   np.asarray(cost_rows, dtype=float) / eps, rho)
 
 
 @dataclass
 class SolveOptions:
     """Stopping rule and initialization for the fixed-point loop.
 
-    The sup-norm of the potential change over a full (g then f) sweep is
-    compared against ``tol``.  ``init`` is ``"asymptotic"`` (the
-    high-temperature closed forms), ``"zero"``, or a pair of vectors.
+    The sup-norm of the potential change over a full sweep is compared
+    against ``tol``.  ``init`` is ``"asymptotic"`` (the high-temperature
+    closed forms), ``"zero"`` or an ``(f, g)`` pair; ``solve_symmetric`` also
+    takes a bare vector and reads ``f`` from a pair.  Any other value, or a
+    vector of the wrong length, raises ``DomainError`` when the solve starts.
     """
 
     tol: float = 1e-9
@@ -130,17 +135,49 @@ class DualPotentials:
                    float(data["eps"]), parse_entropy(data["entropy"]))
 
 
-def _resolve_init(init, entropy, eps, alpha, beta, cost):
-    if isinstance(init, (tuple, list)):
-        f0, g0 = init
-        return (np.array(f0, dtype=float, copy=True),
-                np.array(g0, dtype=float, copy=True))
-    if init == "zero":
-        return np.zeros(len(alpha)), np.zeros(len(beta))
-    if init == "asymptotic":
-        return (entropy.init_potential(eps, alpha, beta, cost),
-                entropy.init_potential(eps, beta, alpha, cost.T))
-    raise DomainError(f"unknown init {init!r}")
+def _check_entry(alpha, beta, cost, eps):
+    """The input checks both solvers share; returns the cost as floats."""
+    if eps <= 0:
+        raise DomainError("eps must be positive")
+    if alpha.is_null or beta.is_null:
+        raise DomainError("solve requires non-null measures; null-measure "
+                          "values have closed forms in uot.divergences")
+    cost = np.asarray(cost, dtype=float)
+    if cost.shape != (len(alpha), len(beta)):
+        raise DomainError(f"cost shape {cost.shape} does not match supports "
+                          f"({len(alpha)}, {len(beta)})")
+    return cost
+
+
+def _initial(init, entropy, eps, alpha, beta, cost, symmetric=False):
+    """Starting ``[f, g]``, or ``[f]`` if ``symmetric``, from ``opts.init``."""
+    sides = [(alpha, beta, cost), (beta, alpha, cost.T)][:1 if symmetric else 2]
+    if isinstance(init, str) and init in ("asymptotic", "zero"):
+        return [entropy.init_potential(eps, own, other, c) if init == "asymptotic"
+                else np.zeros(len(own)) for own, other, c in sides]
+    pair = isinstance(init, (tuple, list)) and len(init) == 2
+    if isinstance(init, str) or not (pair or symmetric):
+        raise DomainError(f"unknown init {init!r}: expected 'asymptotic', "
+                          "'zero' or an (f, g) pair")
+    out = [np.array(vec, dtype=float, copy=True)
+           for vec, _ in zip(init if pair else [init], sides)]
+    if any(vec.shape != (len(own),) for vec, (own, _, _) in zip(out, sides)):
+        raise DomainError("an init vector needs one entry per atom")
+    return out
+
+
+def _iterate(sweep, state, opts):
+    """The stopping rule: apply ``state, update = sweep(state)`` until the
+    update drops to ``opts.tol`` or ``opts.max_iter`` sweeps have run."""
+    history = [] if opts.record_history else None
+    update, it = np.inf, 0
+    for it in range(1, opts.max_iter + 1):
+        state, update = sweep(state)
+        if history is not None:
+            history.append(update)
+        if update <= opts.tol:
+            return state, SolveReport(CONVERGED, it, update, history)
+    return state, SolveReport(MAX_ITER, it, update, history)
 
 
 def solve(alpha: DiscreteMeasure, beta: DiscreteMeasure, cost: np.ndarray,
@@ -155,42 +192,26 @@ def solve(alpha: DiscreteMeasure, beta: DiscreteMeasure, cost: np.ndarray,
     full sweeps.
     """
     opts = opts or SolveOptions()
-    if eps <= 0:
-        raise DomainError("eps must be positive")
-    if alpha.is_null or beta.is_null:
-        raise DomainError("solve requires non-null measures; null-measure "
-                          "values have closed forms in uot.divergences")
+    cost = _check_entry(alpha, beta, cost, eps)
     if not entropy.feasible(alpha.total_mass, beta.total_mass):
         return None, SolveReport(INFEASIBLE, 0, np.inf)
-    cost = np.asarray(cost, dtype=float)
-    if cost.shape != (len(alpha), len(beta)):
-        raise DomainError(f"cost shape {cost.shape} does not match supports "
-                          f"({len(alpha)}, {len(beta)})")
 
     rho_a, rho_b = entropy.rho_at(alpha.points), entropy.rho_at(beta.points)
-    f, g = _resolve_init(opts.init, entropy, eps, alpha, beta, cost)
     log_a, log_b = alpha.log_weights, beta.log_weights
     cost_eps = cost / eps
     cost_eps_t = np.ascontiguousarray(cost_eps.T)
 
-    history = [] if opts.record_history else None
-    status, update = MAX_ITER, np.inf
-    it = 0
-    for it in range(1, opts.max_iter + 1):
-        g_new = _with_rho(entropy.damp, eps,
-                          _softmin_rows_scaled(eps, log_a, f, cost_eps_t), rho=rho_b)
-        f_new = _with_rho(entropy.damp, eps,
-                          _softmin_rows_scaled(eps, log_b, g_new, cost_eps), rho=rho_a)
+    def sweep(fg):
+        f, g = fg
+        g_new = _damped(eps, entropy, log_a, f, cost_eps_t, rho_b)
+        f_new = _damped(eps, entropy, log_b, g_new, cost_eps, rho_a)
         update = max(float(np.abs(f_new - f).max()),
                      float(np.abs(g_new - g).max()))
-        f, g = f_new, g_new
-        if history is not None:
-            history.append(update)
-        if update <= opts.tol:
-            status = CONVERGED
-            break
-    pots = DualPotentials(f, g, eps, entropy)
-    return pots, SolveReport(status, it, update, history)
+        return (f_new, g_new), update
+
+    (f, g), report = _iterate(
+        sweep, _initial(opts.init, entropy, eps, alpha, beta, cost), opts)
+    return DualPotentials(f, g, eps, entropy), report
 
 
 def solve_symmetric(alpha: DiscreteMeasure, cost: np.ndarray, entropy: Entropy,
@@ -200,40 +221,19 @@ def solve_symmetric(alpha: DiscreteMeasure, cost: np.ndarray, entropy: Entropy,
     Iterates the averaged map ``f <- (f + T_alpha(f)) / 2``; plain iteration
     of ``T_alpha`` can two-cycle for the balanced constraint.  The returned
     vector satisfies ``f = T_alpha(f)`` to within ``opts.tol``.  A provided
-    ``opts.init`` is the potential vector itself (not an (f, g) pair).
+    ``opts.init`` is the potential vector, or an (f, g) pair whose f is used.
     """
     opts = opts or SolveOptions()
-    if eps <= 0:
-        raise DomainError("eps must be positive")
-    if alpha.is_null:
-        raise DomainError("solve_symmetric requires a non-null measure")
-    cost = np.asarray(cost, dtype=float)
-    rho_a = entropy.rho_at(alpha.points)
-    log_a = alpha.log_weights
-
-    if isinstance(opts.init, (tuple, list, np.ndarray)):
-        f = np.array(opts.init[0] if isinstance(opts.init, (tuple, list))
-                     else opts.init, dtype=float, copy=True)
-    elif opts.init == "zero":
-        f = np.zeros(len(alpha))
-    else:
-        f = entropy.init_potential(eps, alpha, alpha, cost)
-
-    history = [] if opts.record_history else None
-    status, resid = MAX_ITER, np.inf
+    cost = _check_entry(alpha, alpha, cost, eps)
+    rho_a, log_a = entropy.rho_at(alpha.points), alpha.log_weights
     cost_eps = cost / eps
-    it = 0
-    for it in range(1, opts.max_iter + 1):
-        tf = _with_rho(entropy.damp, eps,
-                       _softmin_rows_scaled(eps, log_a, f, cost_eps), rho=rho_a)
-        resid = float(np.max(np.abs(tf - f)))
-        f = 0.5 * (f + tf)
-        if history is not None:
-            history.append(resid)
-        if resid <= opts.tol:
-            status = CONVERGED
-            break
-    return f, SolveReport(status, it, resid, history)
+
+    def sweep(f):
+        tf = _damped(eps, entropy, log_a, f, cost_eps, rho_a)
+        return 0.5 * (f + tf), float(np.max(np.abs(tf - f)))
+
+    f0 = _initial(opts.init, entropy, eps, alpha, alpha, cost, symmetric=True)
+    return _iterate(sweep, f0[0], opts)
 
 
 def symmetric_potentials(alpha: DiscreteMeasure, cost: np.ndarray,
@@ -268,13 +268,16 @@ def extrapolate(pots: DualPotentials, side: str, m_other: DiscreteMeasure,
     return half_update(pots.eps, pots.entropy, m_other, pot_other, rows, rho=rho)
 
 
+def _log_plan(pots, alpha, beta, cost):
+    return (alpha.log_weights[:, None] + beta.log_weights[None, :]
+            + (pots.f[:, None] + pots.g[None, :] - np.asarray(cost, dtype=float))
+            / pots.eps)
+
+
 def plan_matrix(pots: DualPotentials, alpha: DiscreteMeasure,
                 beta: DiscreteMeasure, cost: np.ndarray) -> np.ndarray:
     """Implicit transport plan ``pi_ij = a_i b_j exp((f_i + g_j - C_ij)/eps)``."""
-    log_pi = (alpha.log_weights[:, None] + beta.log_weights[None, :]
-              + (pots.f[:, None] + pots.g[None, :] - np.asarray(cost, dtype=float))
-              / pots.eps)
-    return np.exp(log_pi)
+    return np.exp(_log_plan(pots, alpha, beta, cost))
 
 
 def implicit_plan(pots: DualPotentials, alpha: DiscreteMeasure,

@@ -8,7 +8,7 @@ from uot import (KL, TV, Balanced, Berg, CostSpec, DiscreteMeasure,
                  UnsupportedEntropyError, dual_value, grad_positions,
                  grad_weights, hausdorff_divergence, ot_eps,
                  sinkhorn_divergence, sinkhorn_entropy, solve)
-from uot.divergences import quadratic_term
+from uot.divergences import quadratic_term, solve_terms
 from uot.sinkhorn import extrapolate
 
 SQ = CostSpec.sq_euclidean()
@@ -125,6 +125,17 @@ def test_entropy_of_unit_dirac():
     a = DiscreteMeasure([1.0], [[0.3]])
     res = sinkhorn_entropy(a, SQ, KL(1.0), 1.0)
     assert res.value == pytest.approx(0.5, abs=1e-12)
+
+
+@pytest.mark.parametrize("entropy", [KL(1.0), TV(0.5), Balanced(), Berg(1.0)],
+                         ids=["kl", "tv", "balanced", "berg"])
+def test_divergence_between_two_null_measures_is_zero(entropy):
+    # F_eps(null) is inf when phi(0) is; S_eps still vanishes on the diagonal
+    null_a, null_b = DiscreteMeasure([], []), DiscreteMeasure([], [])
+    res = sinkhorn_divergence(null_a, null_b, SQ, entropy, 0.5)
+    assert res.value == 0.0
+    assert res.report.converged
+    assert solve_terms(null_a, null_b, SQ, entropy, 0.5, "s").value().value == 0.0
 
 
 def test_entropy_of_null_measure():

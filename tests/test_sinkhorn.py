@@ -23,6 +23,17 @@ def random_pair(rng, n, m, d=2):
     return a, b, SQ.pairwise(a.points, b.points)
 
 
+def run_solver(symmetric, a, b, cost=None, eps=0.5, **opts):
+    """``solve(a, b)``, or ``solve_symmetric(a)`` when ``symmetric``, under
+    KL(1); ``cost`` defaults to the squared distances it expects."""
+    other = a if symmetric else b
+    if cost is None:
+        cost = SQ.pairwise(a.points, other.points)
+    if symmetric:
+        return solve_symmetric(a, cost, KL(1.0), eps, SolveOptions(**opts))
+    return solve(a, b, cost, KL(1.0), eps, SolveOptions(**opts))
+
+
 # ---------------------------------------------------------------- softmin
 
 
@@ -155,11 +166,22 @@ def test_solve_null_measure_rejected():
 
 
 def test_solve_validates_inputs():
-    a, b, cost = dirac_pair(1.0)
-    with pytest.raises(DomainError):
-        solve(a, b, cost, KL(1.0), -1.0)
-    with pytest.raises(DomainError):
-        solve(a, b, np.zeros((2, 2)), KL(1.0), 1.0)
+    # solve and solve_symmetric share the entry checks and the init parser
+    rng = np.random.default_rng(24)
+    a, b, _ = random_pair(rng, 5, 6)
+    for symmetric in (False, True):
+        n, m = len(a), len(a if symmetric else b)
+        rejected = [dict(eps=-1.0), dict(cost=np.zeros((1, m))),
+                    dict(cost=np.zeros((n, 1))), dict(init="bogus"),
+                    # a bare vector is a symmetric-only init with n entries
+                    dict(init=np.zeros(1 if symmetric else n)),
+                    # (f, g) with the lengths swapped; solve_symmetric reads f
+                    dict(init=(np.zeros(len(b)), np.zeros(len(a))))]
+        for case in rejected:
+            with pytest.raises(DomainError):
+                run_solver(symmetric, a, b, **case)
+        _, rep = run_solver(symmetric, a, b, init=(np.zeros(n), np.zeros(m)))
+        assert rep.converged
 
 
 @pytest.mark.parametrize("entropy", [KL(1.0), Berg(0.8), TV(0.6),
@@ -186,11 +208,12 @@ def test_tv_iterates_stay_bounded_by_rho():
     assert np.max(np.abs(pots.g)) <= rho + 1e-12
 
 
-def test_update_history_is_recorded():
+@pytest.mark.parametrize("symmetric", [False, True],
+                         ids=["solve", "solve_symmetric"])
+def test_update_history_is_recorded(symmetric):
     rng = np.random.default_rng(16)
-    a, b, cost = random_pair(rng, 8, 9)
-    pots, rep = solve(a, b, cost, KL(1.0), 0.5,
-                      SolveOptions(record_history=True))
+    a, b, _ = random_pair(rng, 8, 9)
+    _, rep = run_solver(symmetric, a, b, record_history=True)
     assert rep.update_history is not None
     assert len(rep.update_history) == rep.iterations
     assert rep.update_history[-1] == rep.final_update
