@@ -27,9 +27,9 @@ import numpy as np
 from .entropies import Entropy, _with_rho
 from .errors import DomainError, UnsupportedEntropyError
 from .measures import CostSpec, DiscreteMeasure
-from .sinkhorn import (CONVERGED, INFEASIBLE, DualPotentials, SolveOptions,
-                       SolveReport, _log_plan, extrapolate, plan_matrix,
-                       solve, solve_symmetric)
+from .sinkhorn import (_EXP_FLOOR, CONVERGED, INFEASIBLE, DualPotentials,
+                       SolveOptions, SolveReport, _log_plan, extrapolate,
+                       plan_matrix, solve, solve_symmetric)
 
 _INF = math.inf
 
@@ -63,7 +63,9 @@ def quadratic_term(pots: DualPotentials, alpha: DiscreteMeasure,
     if method == "lse":
         log_terms = _log_plan(pots, alpha, beta, cost)
         mx = float(np.max(log_terms))
-        return math.exp(mx) * float(np.sum(np.exp(log_terms - mx)))
+        log_terms -= mx
+        np.maximum(log_terms, _EXP_FLOOR, out=log_terms)
+        return math.exp(mx) * float(np.sum(np.exp(log_terms, out=log_terms)))
     if method == "conj":
         e = pots.entropy
         grad = _with_rho(e.conj_grad, -pots.f, rho=e.rho_at(alpha.points))

@@ -10,11 +10,25 @@ from __future__ import annotations
 
 import csv
 import json
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainError, InvalidMeasureError
+
+
+@contextmanager
+def _name_errors(path):
+    """Re-raise what reading a malformed measure file raises (invalid JSON,
+    a missing key, a non-numeric cell, failed measure checks) as
+    :class:`InvalidMeasureError` naming the file."""
+    try:
+        yield
+    except KeyError as exc:
+        raise InvalidMeasureError(f"{path}: missing key {exc}") from exc
+    except (TypeError, ValueError, InvalidMeasureError) as exc:
+        raise InvalidMeasureError(f"{path}: {exc}") from exc
 
 
 def _as_points(points) -> np.ndarray:
@@ -97,7 +111,7 @@ class DiscreteMeasure:
 
     @classmethod
     def load_json(cls, path) -> "DiscreteMeasure":
-        with open(path) as fh:
+        with open(path) as fh, _name_errors(path):
             return cls.from_dict(json.load(fh))
 
     def save_csv(self, path) -> None:
@@ -109,14 +123,14 @@ class DiscreteMeasure:
 
     @classmethod
     def load_csv(cls, path) -> "DiscreteMeasure":
-        with open(path, newline="") as fh:
+        with open(path, newline="") as fh, _name_errors(path):
             rows = list(csv.reader(fh))
-        if not rows or not rows[0] or rows[0][0] != "w":
-            raise InvalidMeasureError(f"{path}: expected header w,x1,...,xd")
-        body = [r for r in rows[1:] if r]
-        weights = [float(r[0]) for r in body]
-        points = [[float(v) for v in r[1:]] for r in body]
-        return cls(weights, points)
+            if not rows or not rows[0] or rows[0][0] != "w":
+                raise InvalidMeasureError("expected header w,x1,...,xd")
+            body = [r for r in rows[1:] if r]
+            weights = [float(r[0]) for r in body]
+            points = [[float(v) for v in r[1:]] for r in body]
+            return cls(weights, points)
 
 
 def new_measure(weights, points) -> DiscreteMeasure:
@@ -129,11 +143,25 @@ def total_mass(measure: DiscreteMeasure) -> float:
 
 
 def load_measure(path) -> DiscreteMeasure:
-    """Load a measure from ``.json`` or ``.csv`` based on the extension."""
+    """Load a measure from ``.json`` or ``.csv`` based on the extension.
+
+    A malformed file raises :class:`InvalidMeasureError` naming the file.
+    """
     path = str(path)
     if path.endswith(".csv"):
         return DiscreteMeasure.load_csv(path)
     return DiscreteMeasure.load_json(path)
+
+
+def _point_pair(xs, ys):
+    """Both point arrays as ``(n, d)``; their dimensions must agree unless
+    one of them is empty."""
+    xs = _as_points(xs)
+    ys = _as_points(ys)
+    if xs.shape[1] != ys.shape[1] and xs.size and ys.size:
+        raise DomainError(
+            f"dimension mismatch: {xs.shape[1]} vs {ys.shape[1]}")
+    return xs, ys
 
 
 @dataclass(frozen=True)
@@ -163,16 +191,24 @@ class CostSpec:
         return cls(power=power, scale=scale)
 
     def pairwise(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-        """Dense N x M cost matrix between two point arrays."""
-        xs = _as_points(xs)
-        ys = _as_points(ys)
-        if xs.shape[1] != ys.shape[1] and xs.size and ys.size:
-            raise DomainError(
-                f"dimension mismatch: {xs.shape[1]} vs {ys.shape[1]}")
-        diff = xs[:, None, :] - ys[None, :, :]
-        sq = np.einsum("ijk,ijk->ij", diff, diff)
+        """Dense N x M cost matrix between two point arrays.
+
+        The squared distance is summed one coordinate at a time, so no
+        N x M x d tensor is built.  For d <= 2 the result is bit-identical
+        to summing the squared differences over the last axis of that
+        tensor; for d >= 3 it is within one ulp.
+        """
+        xs, ys = _point_pair(xs, ys)
+        sq = np.zeros((len(xs), len(ys)))
+        if sq.size == 0:
+            return sq
+        for k in range(xs.shape[1]):
+            dk = np.subtract.outer(xs[:, k], ys[:, k])
+            dk *= dk
+            sq += dk
         if self.power == 2.0:
-            return self.scale * sq
+            sq *= self.scale
+            return sq
         return self.scale * np.sqrt(sq) ** self.power
 
     def grad_x(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
@@ -181,11 +217,17 @@ class CostSpec:
         Costs with ``power < 2`` are not differentiable at coincident
         points; hitting one raises :class:`DomainError`.
         """
-        xs = _as_points(xs)
-        ys = _as_points(ys)
-        diff = xs[:, None, :] - ys[None, :, :]
+        xs, ys = _point_pair(xs, ys)
+        diff = np.empty((len(xs), len(ys), xs.shape[1]))
+        if diff.size == 0:
+            return diff
+        # one coordinate at a time: broadcasting over a length-d last axis
+        # runs numpy's inner loop N x M times on d elements
+        for k in range(xs.shape[1]):
+            np.subtract.outer(xs[:, k], ys[:, k], out=diff[:, :, k])
         if self.power == 2.0:
-            return 2.0 * self.scale * diff
+            diff *= 2.0 * self.scale
+            return diff
         nrm = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
         if self.power < 2.0 and np.any(nrm == 0.0):
             raise DomainError(

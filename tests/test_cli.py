@@ -66,6 +66,13 @@ def test_missing_file_exits_1(tmp_path, capsys):
     assert code == 1
 
 
+def test_malformed_measure_file_exits_1_naming_it(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text('{"w": [1]}')
+    assert main(["div", str(bad), str(bad)]) == 1
+    assert capsys.readouterr().err == f"error: {bad}: missing key 'weights'\n"
+
+
 def test_bad_entropy_string_exits_1(dirac_files, capsys):
     a, b = dirac_files
     assert main(["div", "--entropy", "zorp:rho=1", a, b]) == 1

@@ -3,7 +3,8 @@ import json
 import numpy as np
 import pytest
 
-from uot import CostSpec, DiscreteMeasure, DomainError, InvalidMeasureError, cost_matrix, new_measure, total_mass
+from uot import (CostSpec, DiscreteMeasure, DomainError, InvalidMeasureError,
+                 cost_matrix, load_measure, new_measure, total_mass)
 
 
 def test_zero_weight_atoms_are_stripped():
@@ -63,6 +64,45 @@ def test_cost_matrix_symmetry():
                            cost_matrix(ys, xs, spec).T, rtol=0, atol=0)
 
 
+def tensor_sq_distances(xs, ys):
+    """Squared distances through the N x M x d difference tensor."""
+    diff = xs[:, None, :] - ys[None, :, :]
+    return np.einsum("ijk,ijk->ij", diff, diff)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_cost_matches_the_tensor_formula(d):
+    rng = np.random.default_rng(30 + d)
+    xs, ys = rng.standard_normal((64, d)), rng.standard_normal((45, d))
+    diff = xs[:, None, :] - ys[None, :, :]
+    sq = tensor_sq_distances(xs, ys)
+    for spec in (CostSpec.sq_euclidean(0.5), CostSpec.euclidean_pow(1.5, 2.0)):
+        if spec.power == 2.0:
+            ref, ref_grad = spec.scale * sq, 2.0 * spec.scale * diff
+        else:
+            ref = spec.scale * np.sqrt(sq) ** spec.power
+            ref_grad = ((spec.scale * spec.power)
+                        * (np.sqrt(sq) ** (spec.power - 2.0))[:, :, None] * diff)
+        got = spec.pairwise(xs, ys)
+        if d <= 2:
+            assert np.array_equal(got, ref)
+        else:
+            assert np.max(np.abs(got - ref) / ref) <= 1e-15
+        assert np.array_equal(spec.grad_x(xs, ys), ref_grad)
+        assert np.all(np.diag(spec.pairwise(xs, xs)) == 0.0)
+
+
+def test_cost_null_supports():
+    pts = np.ones((5, 2))
+    for spec in (CostSpec.sq_euclidean(), CostSpec.euclidean_pow(1.5)):
+        assert spec.pairwise(np.zeros((0, 2)), pts).shape == (0, 5)
+        assert spec.pairwise(pts, np.zeros((0, 2))).shape == (5, 0)
+        assert spec.pairwise(np.zeros((0, 2)), np.zeros((0, 2))).shape == (0, 0)
+        assert spec.pairwise([], np.ones((4, 3))).shape == (0, 4)
+        assert spec.grad_x(np.zeros((0, 2)), pts).shape == (0, 5, 2)
+        assert spec.grad_x(pts, np.zeros((0, 2))).shape == (5, 0, 2)
+
+
 def test_cost_grad_matches_finite_differences():
     rng = np.random.default_rng(2)
     xs, ys = rng.random((4, 2)), rng.random((5, 2))
@@ -93,6 +133,13 @@ def test_cost_spec_validation():
 def test_cost_matrix_dimension_mismatch():
     with pytest.raises(DomainError):
         cost_matrix([[0.0, 1.0]], [[0.0, 1.0, 2.0]], CostSpec())
+
+
+def test_cost_grad_dimension_mismatch():
+    # a length-1 coordinate axis used to broadcast against the other's
+    for xs, ys in (([[0.0]], [[0.0, 1.0]]), ([[0.0, 1.0]], [[0.0]])):
+        with pytest.raises(DomainError):
+            CostSpec().grad_x(xs, ys)
 
 
 def test_json_round_trip_is_bit_exact(tmp_path):
@@ -127,3 +174,19 @@ def test_measures_immutable():
     m = DiscreteMeasure([1.0, 2.0], [[0.0], [1.0]])
     with pytest.raises(ValueError):
         m.weights[0] = 5.0
+
+
+@pytest.mark.parametrize("name, text, message", [
+    ("empty.json", "", "Expecting value"),
+    ("keys.json", '{"w": [1]}', "missing key 'weights'"),
+    ("cell.csv", "w,x1\n1,abc\n", "could not convert string to float"),
+    ("header.csv", "x1\n1\n", "expected header"),
+    ("negative.json", '{"weights": [-1], "points": [[0]]}', "nonnegative"),
+], ids=["json-decode", "missing-key", "csv-cell", "csv-header", "measure-check"])
+def test_load_measure_names_a_malformed_file(tmp_path, name, text, message):
+    path = tmp_path / name
+    path.write_text(text)
+    with pytest.raises(InvalidMeasureError) as info:
+        load_measure(path)
+    assert str(info.value).startswith(f"{path}: ")
+    assert message in str(info.value)

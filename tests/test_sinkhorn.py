@@ -3,10 +3,12 @@ import math
 import numpy as np
 import pytest
 
+import uot.sinkhorn
 from uot import (KL, TV, Balanced, Berg, CostSpec, DiscreteMeasure,
                  DomainError, DualPotentials, Range, SolveOptions, extrapolate,
                  half_update, implicit_plan, plan_matrix, softmin, solve,
                  solve_symmetric)
+from uot.divergences import quadratic_term
 
 SQ = CostSpec.sq_euclidean()
 
@@ -359,3 +361,114 @@ def test_dual_potentials_serialization_round_trip():
     assert np.array_equal(back.g, pots.g)
     assert back.eps == pots.eps
     assert back.entropy == pots.entropy
+
+
+# ---------------------------------------------------------------- exp floor
+
+
+def underflow_instance():
+    """eps = 1e-3 on [0, 1.5]: max-shifted exponents fall both below -745,
+    where exp returns 0, and into the subnormal band [-745, -708]."""
+    rng = np.random.default_rng(40)
+    a = DiscreteMeasure(rng.uniform(0.5, 1.5, 150) / 150,
+                        rng.uniform(0.0, 1.5, (150, 1)))
+    b = DiscreteMeasure(rng.uniform(0.5, 1.5, 170) / 170,
+                        rng.uniform(0.0, 1.5, (170, 1)))
+    pots = DualPotentials(0.01 * rng.standard_normal(150),
+                          0.01 * rng.standard_normal(170), 1e-3, KL(0.1))
+    return a, b, SQ.pairwise(a.points, b.points), pots
+
+
+def assert_underflows(shifted):
+    assert np.any(shifted < -745.2)
+    assert np.any((shifted > -745.0) & (shifted < -708.5))
+
+
+def unfloored_softmin_rows(eps, log_w, pot, cost):
+    """The row softmins with a plain max-shifted exp."""
+    tmp = (log_w + pot / eps)[None, :] - cost / eps
+    mx = tmp.max(axis=1)
+    tmp -= mx[:, None]
+    assert_underflows(tmp)
+    return -eps * (mx + np.log(np.exp(tmp).sum(axis=1)))
+
+
+def unfloored_log_plan(pots, a, b, cost):
+    return (a.log_weights[:, None] + b.log_weights[None, :]
+            + (pots.f[:, None] + pots.g[None, :] - cost) / pots.eps)
+
+
+def test_exp_floor_leaves_softmins_bit_identical():
+    a, b, cost, pots = underflow_instance()
+    eps, entropy = pots.eps, pots.entropy
+    h = eps * np.array([0.0, 100.0, 710.0, 730.0, 744.0, 800.0, 1e4])
+    m = DiscreteMeasure(np.full(7, 1.0 / 7), np.arange(7.0))
+    ref = unfloored_softmin_rows(eps, m.log_weights, np.zeros(7), h[None, :])
+    assert softmin(eps, m, h) == float(ref[0])
+    ref = unfloored_softmin_rows(eps, b.log_weights, pots.g, cost)
+    assert np.array_equal(half_update(eps, entropy, b, pots.g, cost),
+                          entropy.damp(eps, ref))
+
+
+def test_exp_floor_leaves_the_lse_quadratic_term_bit_identical():
+    a, b, cost, pots = underflow_instance()
+    log_terms = unfloored_log_plan(pots, a, b, cost)
+    mx = float(np.max(log_terms))
+    assert_underflows(log_terms - mx)
+    ref = math.exp(mx) * float(np.sum(np.exp(log_terms - mx)))
+    assert quadratic_term(pots, a, b, cost, method="lse") == ref
+
+
+def test_plan_entries_below_the_exp_floor_are_zero():
+    a, b, cost, pots = underflow_instance()
+    log_plan = unfloored_log_plan(pots, a, b, cost)
+    kept = log_plan >= -700.0
+    below = np.exp(log_plan[~kept])
+    assert np.any(below > 0.0) and np.any(below == 0.0)
+    pi = plan_matrix(pots, a, b, cost)
+    assert np.array_equal(pi[kept], np.exp(log_plan[kept]))
+    assert np.all(pi[~kept] == 0.0)
+    ref = np.where(kept, np.exp(log_plan), 0.0)
+    plan = implicit_plan(pots, a, b, cost)
+    assert np.array_equal(plan.weights, ref[ref > 0.0])
+
+
+class CountingMaximum:
+    """``np.maximum`` with its elementwise calls counted; ``reduce`` and the
+    other ufunc methods pass through uncounted."""
+
+    def __init__(self):
+        self.calls = 0
+
+    def __call__(self, *args, **kwargs):
+        self.calls += 1
+        return np.maximum(*args, **kwargs)
+
+    def __getattr__(self, name):
+        return getattr(np.maximum, name)
+
+
+class CountingNumpy:
+    """numpy with a counted ``maximum``."""
+
+    def __init__(self):
+        self.maximum = CountingMaximum()
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+
+@pytest.mark.parametrize("symmetric", [False, True])
+def test_solve_floors_exponents_only_over_a_wide_scaled_cost(monkeypatch,
+                                                             symmetric):
+    counting = CountingNumpy()
+    monkeypatch.setattr(uot.sinkhorn, "np", counting)
+    a, b, _ = dirac_pair(2.0)
+    run_solver(symmetric, a, b, eps=0.01, max_iter=50)
+    # squared distances in the unit square stay below 2: C/eps < 40
+    a, b, _ = random_pair(np.random.default_rng(41), 20, 30)
+    run_solver(symmetric, a, b, eps=0.05, max_iter=50)
+    assert counting.maximum.calls == 0
+    _, report = run_solver(symmetric, a, b, eps=1e-3, max_iter=50)
+    half_updates = 1 if symmetric else 2
+    assert counting.maximum.calls == half_updates * report.iterations
