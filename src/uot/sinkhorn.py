@@ -37,6 +37,7 @@ rule, ``_iterate``: a per-solve timer or a strict ``max_iter`` check goes there.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional, Union
 
@@ -95,6 +96,33 @@ def _damped(eps, entropy, log_w, pot, cost_over_eps, rho, floor):
     """The damped half-update, one value per row of ``cost_over_eps``."""
     smin = _softmin_rows_scaled(eps, log_w, pot, cost_over_eps, floor)
     return _with_rho(entropy.damp, eps, smin, rho=rho)
+
+
+def _half_map(eps, entropy, log_w, cost_over_eps, rho, floor):
+    """One solve's damped half-update as a map ``pot -> new pot``.
+
+    A 1 x 1 problem (a Dirac pair) maps Python floats: its one-entry row is
+    its own maximum, so the float operations below are those of
+    ``_softmin_rows_scaled`` (``log(exp(0)) = 0``) and the result is
+    bit-identical, while each of the thousands of sweeps a Dirac pair takes
+    at ``rho >> eps`` skips numpy's per-call cost.  Only ``damp`` sees an
+    array.
+    """
+    if cost_over_eps.size != 1:
+        return lambda pot: _damped(eps, entropy, log_w, pot, cost_over_eps,
+                                   rho, floor)
+    lw, c = float(log_w[0]), float(cost_over_eps[0, 0])
+
+    def half(pot):
+        mx = (lw + pot / eps) - c
+        smin = -eps * (mx + math.log(math.exp(mx - mx)))
+        return float(_with_rho(entropy.damp, eps, np.array([smin]),
+                               rho=rho)[0])
+    return half
+
+
+def _sup_norm(diff):
+    return float(np.maximum.reduce(np.abs(diff)))
 
 
 def half_update(eps: float, entropy: Entropy, m_other: DiscreteMeasure,
@@ -239,18 +267,23 @@ def solve(alpha: DiscreteMeasure, beta: DiscreteMeasure, cost: np.ndarray,
     cost_eps = cost / eps
     cost_eps_t = np.ascontiguousarray(cost_eps.T)
     floor = _floored(cost_eps)
+    half_g = _half_map(eps, entropy, log_a, cost_eps_t, rho_b, floor)
+    half_f = _half_map(eps, entropy, log_b, cost_eps, rho_a, floor)
+    # a Dirac pair iterates on floats (see _half_map)
+    dirac = cost.size == 1
+    sup = abs if dirac else _sup_norm
 
     def sweep(fg):
         f, g = fg
-        g_new = _damped(eps, entropy, log_a, f, cost_eps_t, rho_b, floor)
-        f_new = _damped(eps, entropy, log_b, g_new, cost_eps, rho_a, floor)
-        update = max(float(np.maximum.reduce(np.abs(f_new - f))),
-                     float(np.maximum.reduce(np.abs(g_new - g))))
-        return (f_new, g_new), update
+        g_new = half_g(f)
+        f_new = half_f(g_new)
+        return (f_new, g_new), max(sup(f_new - f), sup(g_new - g))
 
+    f0 = _initial(opts.init, entropy, eps, alpha, beta, cost)
     (f, g), report = _iterate(
-        sweep, _initial(opts.init, entropy, eps, alpha, beta, cost), opts)
-    return DualPotentials(f, g, eps, entropy), report
+        sweep, [float(v[0]) for v in f0] if dirac else f0, opts)
+    return DualPotentials(np.atleast_1d(f), np.atleast_1d(g), eps,
+                          entropy), report
 
 
 def solve_symmetric(alpha: DiscreteMeasure, cost: np.ndarray, entropy: Entropy,
@@ -266,14 +299,18 @@ def solve_symmetric(alpha: DiscreteMeasure, cost: np.ndarray, entropy: Entropy,
     cost = _check_entry(alpha, alpha, cost, eps)
     rho_a, log_a = entropy.rho_at(alpha.points), alpha.log_weights
     cost_eps = cost / eps
-    floor = _floored(cost_eps)
+    half = _half_map(eps, entropy, log_a, cost_eps, rho_a, _floored(cost_eps))
+    dirac = cost.size == 1
+    sup = abs if dirac else _sup_norm
 
     def sweep(f):
-        tf = _damped(eps, entropy, log_a, f, cost_eps, rho_a, floor)
-        return 0.5 * (f + tf), float(np.maximum.reduce(np.abs(tf - f)))
+        tf = half(f)
+        return 0.5 * (f + tf), sup(tf - f)
 
-    f0 = _initial(opts.init, entropy, eps, alpha, alpha, cost, symmetric=True)
-    return _iterate(sweep, f0[0], opts)
+    f0 = _initial(opts.init, entropy, eps, alpha, alpha, cost,
+                  symmetric=True)[0]
+    f, report = _iterate(sweep, float(f0[0]) if dirac else f0, opts)
+    return np.atleast_1d(f), report
 
 
 def symmetric_potentials(alpha: DiscreteMeasure, cost: np.ndarray,

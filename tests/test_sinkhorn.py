@@ -253,6 +253,42 @@ def test_provided_init_is_used():
     assert np.allclose(p1.f, p2.f, atol=1e-10)
 
 
+@pytest.mark.parametrize("entropy, mass", [
+    (KL(10.0), 1.4), (TV(0.5), 1.4), (Berg(1.0), 1.4), (Range(0.5, 1.5), 1.4),
+    (Balanced(), 1.0)])
+@pytest.mark.parametrize("symmetric", [False, True])
+def test_dirac_pair_sweeps_match_the_array_half_update(entropy, mass,
+                                                       symmetric):
+    # 1 x 1 solves iterate on floats; every sweep must equal, bit for bit,
+    # the array half-update that larger problems run
+    a, b, cost = dirac_pair(0.7, 1.0, mass)
+    eps, f, g = 0.05, np.array([0.3]), np.array([-0.2])
+    opts = SolveOptions(tol=1e-300, max_iter=40, init=(f, g),
+                        record_history=True)
+    history = []
+    for _ in range(opts.max_iter):
+        if symmetric:
+            tf = half_update(eps, entropy, a, f, np.zeros((1, 1)))
+            history.append(float(np.abs(tf - f).max()))
+            f = 0.5 * (f + tf)
+        else:
+            g_new = half_update(eps, entropy, a, f, cost.T)
+            f_new = half_update(eps, entropy, b, g_new, cost)
+            history.append(max(float(np.abs(f_new - f).max()),
+                               float(np.abs(g_new - g).max())))
+            f, g = f_new, g_new
+        if history[-1] <= opts.tol:
+            break
+    if symmetric:
+        pot, report = solve_symmetric(a, np.zeros((1, 1)), entropy, eps, opts)
+        assert pot.shape == (1,) and np.array_equal(pot, f)
+    else:
+        pots, report = solve(a, b, cost, entropy, eps, opts)
+        assert pots.f.shape == pots.g.shape == (1,)
+        assert np.array_equal(pots.f, f) and np.array_equal(pots.g, g)
+    assert report.update_history == history
+
+
 # ---------------------------------------------------------------- symmetric
 
 
