@@ -29,7 +29,7 @@ from .errors import DomainError, UnsupportedEntropyError
 from .measures import CostSpec, DiscreteMeasure
 from .sinkhorn import (_EXP_FLOOR, CONVERGED, INFEASIBLE, DualPotentials,
                        SolveOptions, SolveReport, _log_plan, extrapolate,
-                       plan_matrix, solve, solve_symmetric)
+                       plan_matrix, solve, symmetric_potentials)
 
 _INF = math.inf
 
@@ -153,8 +153,7 @@ def _term(alpha, beta, cost, entropy, eps, opts, symmetric=False) -> _Term:
                      closed_form=value)
     c_matrix = cost.pairwise(alpha.points, beta.points)
     if symmetric:
-        f, report = solve_symmetric(alpha, c_matrix, entropy, eps, opts)
-        pots = DualPotentials(f, f.copy(), eps, entropy)
+        pots, report = symmetric_potentials(alpha, c_matrix, entropy, eps, opts)
     else:
         pots, report = solve(alpha, beta, c_matrix, entropy, eps, opts)
     return _Term(alpha, beta, report, pots, c_matrix)

@@ -53,6 +53,14 @@ def _ext(values, mask_finite, finite_values):
     return out
 
 
+def _lambert_damp(eps, p, rho, c):
+    """``eps c W((rho/eps) exp((p + rho c)/(eps c))) - rho c``: Power's
+    ``damp`` with ``c = 1 - r``, and Berg's, its ``s -> 0`` limit, with c = 1."""
+    p = np.asarray(p, dtype=float)
+    log_arg = math.log(rho / eps) + (p + rho * c) / (eps * c)
+    return eps * c * lambert_w_log(log_arg) - rho * c
+
+
 class Entropy:
     """Base class; concrete penalties implement the catalogue formulas."""
 
@@ -360,10 +368,7 @@ class Power(Entropy):
         return np.power(1.0 - q / self.recession, self.r - 1.0)
 
     def damp(self, eps, p):
-        p = np.asarray(p, dtype=float)
-        one_minus_r = 1.0 - self.r
-        log_arg = math.log(self.rho / eps) + (p + self.rho * one_minus_r) / (eps * one_minus_r)
-        return eps * one_minus_r * lambert_w_log(log_arg) - self.rho * one_minus_r
+        return _lambert_damp(eps, p, self.rho, 1.0 - self.r)
 
     @property
     def phi_zero(self):
@@ -407,9 +412,7 @@ class Berg(Entropy):
         return 1.0 / (1.0 - q / self.rho)
 
     def damp(self, eps, p):
-        p = np.asarray(p, dtype=float)
-        log_arg = math.log(self.rho / eps) + (self.rho + p) / eps
-        return eps * lambert_w_log(log_arg) - self.rho
+        return _lambert_damp(eps, p, self.rho, 1.0)
 
     @property
     def phi_zero(self):

@@ -152,7 +152,7 @@ def cloud_files(tmp_path):
 
 def test_grad_runs_one_cross_and_two_self_solves(cloud_files, monkeypatch,
                                                  capsys):
-    calls = {"solve": 0, "solve_symmetric": 0}
+    calls = {"solve": 0, "symmetric_potentials": 0}
 
     def counted(name):
         inner = getattr(uot.divergences, name)
@@ -166,7 +166,7 @@ def test_grad_runs_one_cross_and_two_self_solves(cloud_files, monkeypatch,
         monkeypatch.setattr(uot.divergences, name, counted(name))
     _, _, (a, b) = cloud_files
     assert main(["grad", "--which", "s", "--target", "both", a, b]) == 0
-    assert calls == {"solve": 1, "solve_symmetric": 2}
+    assert calls == {"solve": 1, "symmetric_potentials": 2}
 
 
 def test_grad_matches_the_separate_functions(cloud_files, capsys):

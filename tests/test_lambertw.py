@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from uot import DomainError, lambert_w, lambert_w_log
 
@@ -43,7 +45,7 @@ def test_residuals_on_log_spaced_grid():
 
 
 def test_matches_bisection_on_grid():
-    for z in np.logspace(-6, 6, 25):
+    for z in np.concatenate([np.logspace(-6, 6, 25), np.logspace(-300, 300, 25)]):
         assert lambert_w(float(z)) == pytest.approx(bisect_w(float(z)), rel=1e-12)
 
 
@@ -70,3 +72,44 @@ def test_log_form_handles_extreme_negatives():
     assert w > 0
     assert w + math.log(w) == pytest.approx(-700.0, abs=1e-9)
     assert lambert_w_log(-math.inf) == 0.0
+
+
+def test_huge_arguments_stay_finite():
+    biggest = np.finfo(float).max
+    for z in (1.7e308, biggest):
+        w = lambert_w(z)
+        assert math.isfinite(w)
+        assert w + math.log(w) == pytest.approx(math.log(z), rel=1e-15)
+    for log_z in (1e300, biggest):
+        w = lambert_w_log(log_z)
+        assert math.isfinite(w)
+        assert w + math.log(w) == pytest.approx(log_z, rel=1e-15)
+
+
+# a few units in the last place: the tolerance every property below allows
+# for rounding, scaled by 1 + |L| where L itself carries rounding
+ULPS = 4 * np.finfo(float).eps
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(st.lists(st.one_of(st.floats(-1e3, 1e300), st.floats(-36.0, -34.0),
+                          st.just(-math.inf)),
+                min_size=1, max_size=20))
+def test_log_form_properties(log_z):
+    log_z = np.sort(np.array(log_z))
+    scale = 1.0 + np.abs(log_z)
+    w = lambert_w_log(log_z)
+    assert np.all(w >= 0)
+    # residual wherever log(w) is exact to rounding (w a normal float)
+    normal = w >= np.finfo(float).tiny
+    resid = np.abs(w + np.log(w, where=normal, out=np.zeros_like(w)) - log_z)
+    assert np.all(resid[normal] <= ULPS * scale[normal])
+    # monotone in L, up to rounding
+    assert np.all(w[1:] >= w[:-1] * (1.0 - ULPS))
+    # the direct form is the log form at log(z), wherever z = exp(L) is finite
+    finite = log_z < math.log(np.finfo(float).max)
+    with np.errstate(under="ignore"):
+        z = np.exp(log_z[finite])
+    direct = lambert_w(z)
+    bound = ULPS * scale[finite] * np.maximum(w[finite], np.finfo(float).tiny)
+    assert np.all(np.abs(direct - w[finite]) <= bound)
