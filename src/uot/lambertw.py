@@ -6,7 +6,8 @@ forming ``exp(L)``, which overflows in the dampening maps at small ``eps``;
 
 - Below ``L = -35`` the root is ``exp(L)`` (``W(z) = z (1 - z + ...)``, and
   ``exp(-35) < 2**-50`` is below the ``|L| eps`` the log form resolves);
-  this also gives ``W(0) = 0`` at ``L = -inf``.
+  this also gives ``W(0) = 0`` at ``L = -inf``.  At ``L = +inf`` the
+  result is ``+inf``.
 - The guesses of Corless et al., *On the Lambert W function* (Adv. Comput.
   Math. 5, 1996), ``L - log L + log L / L`` above ``L = 1`` and
   ``z / (1 + z)`` below, are within 0.27 relative of the root (worst at
@@ -25,6 +26,7 @@ import numpy as np
 from .errors import DomainError
 
 _LOG_CUT = -35.0
+_LOG_TOP = float(np.finfo(float).max)
 
 
 def lambert_w(z):
@@ -47,10 +49,13 @@ def lambert_w_log(log_z):
     Overflow-safe form of ``lambert_w``: agrees with
     ``lambert_w(exp(log_z))`` up to the rounding of ``log(exp(log_z))``
     whenever ``exp(log_z)`` is representable, and stays accurate for
-    arguments far beyond the double range.  ``log_z = -inf`` gives 0.
+    arguments far beyond the double range.  ``log_z = -inf`` gives 0 and
+    ``log_z = +inf`` gives ``+inf``.
     """
     l_arr = np.asarray(log_z, dtype=float)
-    clamped = np.maximum(l_arr, _LOG_CUT)
+    # the iteration runs on finite arguments: at L = +inf the guess would be
+    # inf - inf, and W(exp(L)) = +inf is selected at the end instead
+    clamped = np.minimum(np.maximum(l_arr, _LOG_CUT), _LOG_TOP)
     big = np.maximum(clamped, 1.0)
     log_big = np.log(big)
     z = np.exp(np.minimum(clamped, 1.0))
@@ -60,4 +65,5 @@ def lambert_w_log(log_z):
         wp1 = w + 1.0
         w = w - g / (wp1 + 0.5 * g / wp1) * w
     out = np.where(l_arr > _LOG_CUT, w, np.exp(np.minimum(l_arr, _LOG_CUT)))
+    out = np.where(l_arr > _LOG_TOP, np.inf, out)
     return out if out.ndim else float(out)

@@ -228,13 +228,20 @@ class CostSpec:
         if self.power == 2.0:
             diff *= 2.0 * self.scale
             return diff
-        nrm = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
-        if self.power < 2.0 and np.any(nrm == 0.0):
+        # the squared norm summed one coordinate at a time, as in pairwise
+        factor = np.square(diff[:, :, 0])
+        for k in range(1, xs.shape[1]):
+            factor += np.square(diff[:, :, k])
+        if self.power < 2.0 and np.any(factor == 0.0):
             raise DomainError(
                 "cost gradient undefined at coincident points for power < 2")
-        with np.errstate(divide="ignore", invalid="ignore"):
-            factor = np.where(nrm > 0, nrm ** (self.power - 2.0), 0.0)
-        return (self.scale * self.power) * factor[:, :, None] * diff
+        # |x - y|^(power - 2), which is 0 at coincident points for power > 2
+        np.sqrt(factor, out=factor)
+        factor **= self.power - 2.0
+        factor *= self.scale * self.power
+        for k in range(xs.shape[1]):
+            diff[:, :, k] *= factor
+        return diff
 
 
 def cost_matrix(xs, ys, cost: CostSpec) -> np.ndarray:

@@ -6,8 +6,9 @@ followed by the entropy's pointwise dampening map:
     g <- damp( softmin_alpha(C(., y) - f) )      (columns)
     f <- damp( softmin_beta (C(x, .) - g) )      (rows)
 
-Potentials are kept in the log domain throughout; the only exponentials
-taken are max-shifted, so the loop is stable down to very small ``eps``.
+Potentials are kept in the log domain throughout; the exponentials of the
+cost are max-shifted and those of a potential's drift are bounded (below),
+so the loop is stable down to very small ``eps``.
 
 At small ``eps`` most kernel entries underflow, and numpy's ``exp`` leaves
 its vectorized path once an argument falls below about -708 (numpy 2.4 on
@@ -29,6 +30,36 @@ floored at ``_EXP_FLOOR = -700``, just above that threshold, before ``exp``:
   half-updates floor: a spread of ``C / eps`` below ``_FLOOR_SPREAD = 100``
   keeps the kernel above ``e^-100`` unless the potentials alone span
   hundreds of ``eps``.  The decision changes speed only, never a result.
+
+Each half-update of a solve keeps the kernel of its last exact softmin,
+``K_ij = w_j exp(pot_j/eps - C_ij/eps - mx_i)``, with the row shifts ``mx``
+and the potential ``ref`` it was built from: the stabilized scaling loop
+with absorption of Schmitzer, *Stabilized sparse scaling algorithms for
+entropy regularized transport problems* (SIAM J. Sci. Comput. 2019), which
+Chizat et al., *Scaling algorithms for unbalanced transport problems*
+(Math. Comp. 2018), apply to the unbalanced sweep.  With
+``d = (pot - ref) / eps`` and ``lo = min d``, a later half-update is
+
+    softmin_i = -eps * (mx_i + lo + log sum_j K_ij exp(d_j - lo)),
+
+one matrix-vector product, while the spread ``max d - lo`` stays below
+``_KERNEL_DRIFT = 30``; past it the exact softmin rebuilds the kernel.  The
+cached softmin differs from the exact one by rounding only:
+
+- each row of ``K`` holds an entry equal to 1 and ``exp(d_j - lo)`` lies in
+  ``[1, e^30]``, so a row sum lies in ``[1, M e^30]``;
+- an entry floored at ``e^-700`` exceeds its true value by less than
+  ``e^-700``; scaled by at most ``e^30``, all of them add less than
+  ``M e^-670`` to a sum of at least 1, far below an ulp;
+- every product ``K_ij exp(d_j - lo)`` is at least ``e^-700``, a normal
+  double.  Shifting by ``max d`` instead makes subnormal products, which
+  slow the product 60-fold (616 us instead of 9 us for 200 x 200 on the
+  machine above, one BLAS thread).
+
+A constant shift of the potential, the mass translation that dominates at
+``rho >> eps``, moves ``lo`` only and never forces a rebuild.  ``softmin``,
+``half_update`` and ``extrapolate`` make one call each and always take the
+exact path.
 
 ``solve`` (g then f) and ``solve_symmetric`` (an averaged map) share one
 entry check, one ``init`` parser, one damped half-update and one stopping
@@ -53,6 +84,7 @@ INFEASIBLE = "infeasible"
 
 _EXP_FLOOR = -700.0
 _FLOOR_SPREAD = 100.0
+_KERNEL_DRIFT = 30.0
 
 
 def _floored(cost_over_eps) -> bool:
@@ -72,16 +104,21 @@ def softmin(eps: float, measure: DiscreteMeasure, values) -> float:
         raise DomainError(f"value vector of length {h.shape} over "
                           f"{len(measure)} atoms")
     h_over_eps = (h / eps)[None, :]
-    return float(_softmin_rows_scaled(eps, measure.log_weights,
-                                      np.zeros_like(h), h_over_eps,
-                                      _floored(h_over_eps))[0])
+    smin, _ = _softmin_rows_scaled(eps, measure.log_weights,
+                                   np.zeros_like(h), h_over_eps,
+                                   _floored(h_over_eps))
+    return float(smin[0])
 
 
-def _softmin_rows_scaled(eps, log_w, pot, cost_over_eps, floor):
+def _softmin_rows_scaled(eps, log_w, pot, cost_over_eps, floor, out=None):
     """Row-wise softmin with the cost pre-divided by eps (hot loop path);
-    ``floor`` raises the shifted exponents to ``_EXP_FLOOR``."""
+    ``floor`` raises the shifted exponents to ``_EXP_FLOOR``.
+
+    Returns the softmins and the row shifts ``mx``, and leaves the kernel
+    ``K_ij = w_j exp(pot_j/eps - C_ij/eps - mx_i)`` in ``out`` if given.
+    """
     scaled = log_w + pot / eps
-    tmp = scaled[None, :] - cost_over_eps
+    tmp = np.subtract(scaled[None, :], cost_over_eps, out=out)
     # ufunc reductions skip the Python frames of ndarray.max and .sum, which
     # a 1 x 1 solve would pay on each of its thousands of sweeps
     mx = np.maximum.reduce(tmp, axis=1)
@@ -89,17 +126,15 @@ def _softmin_rows_scaled(eps, log_w, pot, cost_over_eps, floor):
     if floor:
         np.maximum(tmp, _EXP_FLOOR, out=tmp)
     np.exp(tmp, out=tmp)
-    return -eps * (mx + np.log(np.add.reduce(tmp, axis=1)))
-
-
-def _damped(eps, entropy, log_w, pot, cost_over_eps, rho, floor):
-    """The damped half-update, one value per row of ``cost_over_eps``."""
-    smin = _softmin_rows_scaled(eps, log_w, pot, cost_over_eps, floor)
-    return _with_rho(entropy.damp, eps, smin, rho=rho)
+    return -eps * (mx + np.log(np.add.reduce(tmp, axis=1))), mx
 
 
 def _half_map(eps, entropy, log_w, cost_over_eps, rho, floor):
     """One solve's damped half-update as a map ``pot -> new pot``.
+
+    An array problem keeps the kernel of its last exact softmin in one
+    N x M buffer and reuses it while the potential's drift ``d`` spans less
+    than ``_KERNEL_DRIFT`` (see the module docstring).
 
     A 1 x 1 problem (a Dirac pair) maps Python floats: its one-entry row is
     its own maximum, so the float operations below are those of
@@ -109,8 +144,24 @@ def _half_map(eps, entropy, log_w, cost_over_eps, rho, floor):
     array.
     """
     if cost_over_eps.size != 1:
-        return lambda pot: _damped(eps, entropy, log_w, pot, cost_over_eps,
-                                   rho, floor)
+        kernel = np.empty(cost_over_eps.shape)
+        ref = mx = None
+
+        def half(pot):
+            nonlocal ref, mx
+            if ref is not None:
+                d = (pot - ref) / eps
+                lo = np.minimum.reduce(d)
+                if np.maximum.reduce(d) - lo < _KERNEL_DRIFT:
+                    d -= lo
+                    rows = kernel @ np.exp(d, out=d)
+                    smin = -eps * ((mx + lo) + np.log(rows))
+                    return _with_rho(entropy.damp, eps, smin, rho=rho)
+            smin, mx = _softmin_rows_scaled(eps, log_w, pot, cost_over_eps,
+                                            floor, out=kernel)
+            ref = pot.copy()
+            return _with_rho(entropy.damp, eps, smin, rho=rho)
+        return half
     lw, c = float(log_w[0]), float(cost_over_eps[0, 0])
 
     def half(pot):
@@ -136,9 +187,10 @@ def half_update(eps: float, entropy: Entropy, m_other: DiscreteMeasure,
     if m_other.is_null:
         raise DomainError("half update against the null measure")
     cost_over_eps = np.asarray(cost_rows, dtype=float) / eps
-    return _damped(eps, entropy, m_other.log_weights,
-                   np.asarray(pot_other, dtype=float), cost_over_eps, rho,
-                   _floored(cost_over_eps))
+    smin, _ = _softmin_rows_scaled(eps, m_other.log_weights,
+                                   np.asarray(pot_other, dtype=float),
+                                   cost_over_eps, _floored(cost_over_eps))
+    return _with_rho(entropy.damp, eps, smin, rho=rho)
 
 
 @dataclass
@@ -265,9 +317,10 @@ def solve(alpha: DiscreteMeasure, beta: DiscreteMeasure, cost: np.ndarray,
     rho_a, rho_b = entropy.rho_at(alpha.points), entropy.rho_at(beta.points)
     log_a, log_b = alpha.log_weights, beta.log_weights
     cost_eps = cost / eps
-    cost_eps_t = np.ascontiguousarray(cost_eps.T)
     floor = _floored(cost_eps)
-    half_g = _half_map(eps, entropy, log_a, cost_eps_t, rho_b, floor)
+    # the g side reads the transposed view only when it rebuilds its kernel,
+    # which it writes into its own contiguous buffer
+    half_g = _half_map(eps, entropy, log_a, cost_eps.T, rho_b, floor)
     half_f = _half_map(eps, entropy, log_b, cost_eps, rho_a, floor)
     # a Dirac pair iterates on floats (see _half_map)
     dirac = cost.size == 1

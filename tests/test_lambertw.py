@@ -86,6 +86,16 @@ def test_huge_arguments_stay_finite():
         assert w + math.log(w) == pytest.approx(log_z, rel=1e-15)
 
 
+def test_infinite_argument_gives_infinity():
+    # pytest turns the invalid-value warning of inf - inf into an error
+    assert lambert_w_log(math.inf) == math.inf
+    assert lambert_w(math.inf) == math.inf
+    w = lambert_w_log(np.array([-math.inf, 0.0, math.inf]))
+    assert w[0] == 0.0 and w[1] == pytest.approx(OMEGA, abs=1e-13)
+    assert w[2] == math.inf
+    assert np.array_equal(lambert_w(np.array([0.0, math.inf])), [0.0, math.inf])
+
+
 # a few units in the last place: the tolerance every property below allows
 # for rounding, scaled by 1 + |L| where L itself carries rounding
 ULPS = 4 * np.finfo(float).eps

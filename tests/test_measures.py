@@ -76,7 +76,8 @@ def test_cost_matches_the_tensor_formula(d):
     xs, ys = rng.standard_normal((64, d)), rng.standard_normal((45, d))
     diff = xs[:, None, :] - ys[None, :, :]
     sq = tensor_sq_distances(xs, ys)
-    for spec in (CostSpec.sq_euclidean(0.5), CostSpec.euclidean_pow(1.5, 2.0)):
+    for spec in (CostSpec.sq_euclidean(0.5), CostSpec.euclidean_pow(1.5, 2.0),
+                 CostSpec.euclidean_pow(3.0, 0.5)):
         if spec.power == 2.0:
             ref, ref_grad = spec.scale * sq, 2.0 * spec.scale * diff
         else:
@@ -88,7 +89,13 @@ def test_cost_matches_the_tensor_formula(d):
             assert np.array_equal(got, ref)
         else:
             assert np.max(np.abs(got - ref) / ref) <= 1e-15
-        assert np.array_equal(spec.grad_x(xs, ys), ref_grad)
+        got_grad = spec.grad_x(xs, ys)
+        if d <= 2 or spec.power == 2.0:
+            assert np.array_equal(got_grad, ref_grad)
+        else:
+            # the per-coordinate squared norm is within one ulp of einsum's
+            assert np.all(np.abs(got_grad - ref_grad)
+                          <= 1e-15 * np.abs(ref_grad))
         assert np.all(np.diag(spec.pairwise(xs, xs)) == 0.0)
 
 

@@ -5,9 +5,9 @@ import pytest
 
 import uot.sinkhorn
 from uot import (KL, TV, Balanced, Berg, CostSpec, DiscreteMeasure,
-                 DomainError, DualPotentials, Range, SolveOptions, extrapolate,
-                 half_update, implicit_plan, plan_matrix, softmin, solve,
-                 solve_symmetric)
+                 DomainError, DualPotentials, Power, Range, SolveOptions,
+                 dual_value, extrapolate, half_update, implicit_plan,
+                 plan_matrix, softmin, solve, solve_symmetric)
 from uot.divergences import quadratic_term
 
 SQ = CostSpec.sq_euclidean()
@@ -25,15 +25,15 @@ def random_pair(rng, n, m, d=2):
     return a, b, SQ.pairwise(a.points, b.points)
 
 
-def run_solver(symmetric, a, b, cost=None, eps=0.5, **opts):
-    """``solve(a, b)``, or ``solve_symmetric(a)`` when ``symmetric``, under
-    KL(1); ``cost`` defaults to the squared distances it expects."""
+def run_solver(symmetric, a, b, cost=None, eps=0.5, entropy=KL(1.0), **opts):
+    """``solve(a, b)``, or ``solve_symmetric(a)`` when ``symmetric``;
+    ``cost`` defaults to the squared distances it expects."""
     other = a if symmetric else b
     if cost is None:
         cost = SQ.pairwise(a.points, other.points)
     if symmetric:
-        return solve_symmetric(a, cost, KL(1.0), eps, SolveOptions(**opts))
-    return solve(a, b, cost, KL(1.0), eps, SolveOptions(**opts))
+        return solve_symmetric(a, cost, entropy, eps, SolveOptions(**opts))
+    return solve(a, b, cost, entropy, eps, SolveOptions(**opts))
 
 
 # ---------------------------------------------------------------- softmin
@@ -469,26 +469,30 @@ def test_plan_entries_below_the_exp_floor_are_zero():
     assert np.array_equal(plan.weights, ref[ref > 0.0])
 
 
-class CountingMaximum:
-    """``np.maximum`` with its elementwise calls counted; ``reduce`` and the
-    other ufunc methods pass through uncounted."""
+class CountingUfunc:
+    """A ufunc with its elementwise calls counted, or only those on arrays
+    of ``ndim`` dimensions if given; ``reduce`` and the other ufunc methods
+    pass through uncounted."""
 
-    def __init__(self):
-        self.calls = 0
+    def __init__(self, ufunc, ndim=None):
+        self.ufunc, self.ndim, self.calls = ufunc, ndim, 0
 
     def __call__(self, *args, **kwargs):
-        self.calls += 1
-        return np.maximum(*args, **kwargs)
+        if self.ndim is None or np.ndim(args[0]) == self.ndim:
+            self.calls += 1
+        return self.ufunc(*args, **kwargs)
 
     def __getattr__(self, name):
-        return getattr(np.maximum, name)
+        return getattr(self.ufunc, name)
 
 
 class CountingNumpy:
-    """numpy with a counted ``maximum``."""
+    """numpy with a counted ``maximum`` and an ``exp`` that counts the
+    exponentiated N x M blocks."""
 
     def __init__(self):
-        self.maximum = CountingMaximum()
+        self.maximum = CountingUfunc(np.maximum)
+        self.exp = CountingUfunc(np.exp, ndim=2)
 
     def __getattr__(self, name):
         return getattr(np, name)
@@ -505,6 +509,89 @@ def test_solve_floors_exponents_only_over_a_wide_scaled_cost(monkeypatch,
     a, b, _ = random_pair(np.random.default_rng(41), 20, 30)
     run_solver(symmetric, a, b, eps=0.05, max_iter=50)
     assert counting.maximum.calls == 0
-    _, report = run_solver(symmetric, a, b, eps=1e-3, max_iter=50)
-    half_updates = 1 if symmetric else 2
-    assert counting.maximum.calls == half_updates * report.iterations
+    counting.exp.calls = 0
+    run_solver(symmetric, a, b, eps=1e-3, max_iter=50)
+    # one floor each time a half-update exponentiates its kernel
+    assert counting.maximum.calls == counting.exp.calls >= 1
+
+
+# ---------------------------------------------------------------- kernel cache
+
+
+def normalized_pair(rng, n, m, mass_b):
+    a, b, _ = random_pair(rng, n, m)
+    return a.scaled(1 / a.total_mass), b.scaled(mass_b / b.total_mass)
+
+
+def exact_sweep(symmetric, a, b, entropy, eps, f, g):
+    """One sweep of the loop through ``half_update``, the exact softmin."""
+    if symmetric:
+        cost = SQ.pairwise(a.points, a.points)
+        tf = half_update(eps, entropy, a, f, cost, rho=entropy.rho_at(a.points))
+        return [0.5 * (f + tf)]
+    cost = SQ.pairwise(a.points, b.points)
+    # the loop sums each row of a C-ordered block; the sums over a transposed
+    # view run in another order
+    g = half_update(eps, entropy, a, f, np.ascontiguousarray(cost.T),
+                    rho=entropy.rho_at(b.points))
+    f = half_update(eps, entropy, b, g, cost, rho=entropy.rho_at(a.points))
+    return [f, g]
+
+
+def potentials(symmetric, result):
+    pots, report = result
+    return ([pots] if symmetric else [pots.f, pots.g]), report
+
+
+@pytest.mark.parametrize("eps", [1e-3, 0.05])
+@pytest.mark.parametrize("entropy", [
+    KL(1.0), KL(0.5, rho_fn=lambda pts: 0.5 + pts[:, 0]), TV(0.3), Balanced(),
+    Berg(0.8), Power(1.0, 0.5), Range(0.5, 1.5)],
+    ids=["kl", "spatial_kl", "tv", "balanced", "berg", "power", "range"])
+@pytest.mark.parametrize("symmetric", [False, True],
+                         ids=["solve", "solve_symmetric"])
+def test_cached_kernel_matches_the_exact_loop(monkeypatch, symmetric, entropy,
+                                              eps):
+    mass_b = 1.0 if isinstance(entropy, Balanced) else 1.2
+    a, b = normalized_pair(np.random.default_rng(50), 20, 30, mass_b)
+    f0, g0 = np.zeros(len(a)), np.zeros(len(b))
+    first, _ = potentials(symmetric, run_solver(
+        symmetric, a, b, eps=eps, entropy=entropy, max_iter=1,
+        init=(f0, g0)))
+    ref = exact_sweep(symmetric, a, b, entropy, eps, f0, g0)
+    assert all(np.array_equal(x, y) for x, y in zip(first, ref))
+    cached, report = potentials(symmetric, run_solver(
+        symmetric, a, b, eps=eps, entropy=entropy))
+    # every half-update rebuilds its kernel: the loop without the cache
+    monkeypatch.setattr(uot.sinkhorn, "_KERNEL_DRIFT", 0.0)
+    exact, exact_report = potentials(symmetric, run_solver(
+        symmetric, a, b, eps=eps, entropy=entropy))
+    assert report.status == exact_report.status == "converged"
+    assert report.iterations == exact_report.iterations
+    for x, y in zip(cached, exact):
+        assert np.all(np.abs(x - y) <= 1e-12 * (1.0 + np.abs(y)))
+
+
+@pytest.mark.parametrize("entropy, mass_b, tol", [
+    (KL(0.1), 1.5, 1e-9), (TV(0.1), 1.5, 1e-9),
+    # balanced Sinkhorn contracts slowly at eps = 1e-4: 75k sweeps to 1e-9
+    (Balanced(), 1.0, 1e-6)], ids=["kl", "tv", "balanced"])
+def test_cold_solves_at_tiny_eps_rebuild_the_kernel(monkeypatch, entropy,
+                                                    mass_b, tol):
+    # rho / eps = 1e3: the first sweeps move the potentials by thousands of
+    # eps, far past the drift a cached kernel absorbs
+    eps = 1e-4
+    a, b = normalized_pair(np.random.default_rng(51), 40, 50, mass_b)
+    cost = SQ.pairwise(a.points, b.points)
+    counting = CountingNumpy()
+    monkeypatch.setattr(uot.sinkhorn, "np", counting)
+    pots, report = solve(a, b, cost, entropy, eps, SolveOptions(tol=tol))
+    assert report.converged
+    assert np.all(np.isfinite(pots.f)) and np.all(np.isfinite(pots.g))
+    assert 2 < counting.exp.calls < report.iterations
+    monkeypatch.setattr(uot.sinkhorn, "_KERNEL_DRIFT", 0.0)
+    exact, exact_report = solve(a, b, cost, entropy, eps,
+                                SolveOptions(tol=tol))
+    assert exact_report.converged
+    value, exact_value = (dual_value(p, a, b, cost) for p in (pots, exact))
+    assert abs(value - exact_value) <= 1e-10 * abs(exact_value)
