@@ -185,7 +185,10 @@ def _ot_weight_grad(term, side) -> np.ndarray:
 def _ot_position_grad(term, side, cost) -> np.ndarray:
     """Envelope gradient through the cost: ``sum_j pi_ij grad_x C(x_i, y_j)``."""
     _, own, other, plan = term.oriented(side)
-    return np.einsum("ij,ijk->ik", plan, cost.grad_x(own.points, other.points))
+    grad = cost.grad_x(own.points, other.points)
+    # one contraction per coordinate: einsum's "ij,ijk->ik" is 2-3x slower
+    return np.stack([np.einsum("ij,ij->i", plan, grad[:, :, k])
+                     for k in range(grad.shape[2])], axis=1)
 
 
 @dataclass

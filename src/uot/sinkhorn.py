@@ -59,7 +59,29 @@ cached softmin differs from the exact one by rounding only:
 A constant shift of the potential, the mass translation that dominates at
 ``rho >> eps``, moves ``lo`` only and never forces a rebuild.  ``softmin``,
 ``half_update`` and ``extrapolate`` make one call each and always take the
-exact path.
+exact path.  A Dirac pair runs this loop on its 1 x 1 kernel.
+
+For KL the plain loop contracts at ``(rho / (rho + eps))^2``, close to 1
+when ``rho >> eps``, and the slow mode is that mass translation,
+``(f + lam, g - lam)``, along which the entropic term of the dual does not
+move.  With a uniform ``rho``, ``solve`` therefore translates by the exact
+maximizer of the dual along it before each sweep,
+
+    lam = (rho/2) * (log <alpha, exp(-f/rho)> - log <beta, exp(-g/rho)>),
+
+the translation step of Sejourne, Vialard & Peyre, *Faster Unbalanced
+Optimal Transport: Translation Invariant Sinkhorn and 1-D Frank-Wolfe*
+(AISTATS 2022).  Each sum is shifted by its potential's minimum, so every
+exponential lies in (0, 1].  The translation goes on the input of the g
+half-update, so the returned ``f`` is still the output of an f half-update:
+the linear-time value of ``divergences.dual_value`` holds exactly only
+there, and translating the returned ``f`` instead moved finite-difference
+position gradients by up to 5e-5 relative.  The translated input differs
+from the last one by a constant plus the f half-update's change, so the g
+half-update's kernel cache absorbs the step.  On a cold 300 x 300 KL(1)
+solve at ``eps = 1e-3`` it cuts the sweeps from 5306 to 1788.  A spatially
+varying ``rho``, the other entropies and ``solve_symmetric`` (whose two
+potentials are one) keep the plain loop.
 
 ``solve`` (g then f) and ``solve_symmetric`` (an averaged map) share one
 entry check, one ``init`` parser, one damped half-update and one stopping
@@ -74,7 +96,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .entropies import Entropy, _with_rho, parse_entropy
+from .entropies import KL, Entropy, _with_rho, parse_entropy
 from .errors import DomainError
 from .measures import CostSpec, DiscreteMeasure
 
@@ -132,44 +154,43 @@ def _softmin_rows_scaled(eps, log_w, pot, cost_over_eps, floor, out=None):
 def _half_map(eps, entropy, log_w, cost_over_eps, rho, floor):
     """One solve's damped half-update as a map ``pot -> new pot``.
 
-    An array problem keeps the kernel of its last exact softmin in one
-    N x M buffer and reuses it while the potential's drift ``d`` spans less
-    than ``_KERNEL_DRIFT`` (see the module docstring).
-
-    A 1 x 1 problem (a Dirac pair) maps Python floats: its one-entry row is
-    its own maximum, so the float operations below are those of
-    ``_softmin_rows_scaled`` (``log(exp(0)) = 0``) and the result is
-    bit-identical, while each of the thousands of sweeps a Dirac pair takes
-    at ``rho >> eps`` skips numpy's per-call cost.  Only ``damp`` sees an
-    array.
+    Keeps the kernel of its last exact softmin in one N x M buffer and
+    reuses it while the potential's drift ``d`` spans less than
+    ``_KERNEL_DRIFT`` (see the module docstring).
     """
-    if cost_over_eps.size != 1:
-        kernel = np.empty(cost_over_eps.shape)
-        ref = mx = None
-
-        def half(pot):
-            nonlocal ref, mx
-            if ref is not None:
-                d = (pot - ref) / eps
-                lo = np.minimum.reduce(d)
-                if np.maximum.reduce(d) - lo < _KERNEL_DRIFT:
-                    d -= lo
-                    rows = kernel @ np.exp(d, out=d)
-                    smin = -eps * ((mx + lo) + np.log(rows))
-                    return _with_rho(entropy.damp, eps, smin, rho=rho)
-            smin, mx = _softmin_rows_scaled(eps, log_w, pot, cost_over_eps,
-                                            floor, out=kernel)
-            ref = pot.copy()
-            return _with_rho(entropy.damp, eps, smin, rho=rho)
-        return half
-    lw, c = float(log_w[0]), float(cost_over_eps[0, 0])
+    kernel = np.empty(cost_over_eps.shape)
+    ref = mx = None
 
     def half(pot):
-        mx = (lw + pot / eps) - c
-        smin = -eps * (mx + math.log(math.exp(mx - mx)))
-        return float(_with_rho(entropy.damp, eps, np.array([smin]),
-                               rho=rho)[0])
+        nonlocal ref, mx
+        if ref is not None:
+            d = (pot - ref) / eps
+            lo = np.minimum.reduce(d)
+            if np.maximum.reduce(d) - lo < _KERNEL_DRIFT:
+                d -= lo
+                rows = kernel @ np.exp(d, out=d)
+                smin = -eps * ((mx + lo) + np.log(rows))
+                return _with_rho(entropy.damp, eps, smin, rho=rho)
+        smin, mx = _softmin_rows_scaled(eps, log_w, pot, cost_over_eps,
+                                        floor, out=kernel)
+        ref = pot.copy()
+        return _with_rho(entropy.damp, eps, smin, rho=rho)
     return half
+
+
+def _kl_translation(rho, alpha, beta):
+    """The translation ``(f, g) -> lam`` that maximizes the KL dual along
+    ``(f + lam, g - lam)`` (see the module docstring)."""
+    a, b = alpha.weights, beta.weights
+
+    def lam(f, g):
+        # shifted by their minima, the exponentials lie in (0, 1] and each
+        # sum is at least the weight at its minimum
+        lo_f, lo_g = np.minimum.reduce(f), np.minimum.reduce(g)
+        sum_a = a @ np.exp((lo_f - f) / rho)
+        sum_b = b @ np.exp((lo_g - g) / rho)
+        return 0.5 * ((lo_g - lo_f) + rho * math.log(sum_a / sum_b))
+    return lam
 
 
 def _sup_norm(diff):
@@ -322,21 +343,19 @@ def solve(alpha: DiscreteMeasure, beta: DiscreteMeasure, cost: np.ndarray,
     # which it writes into its own contiguous buffer
     half_g = _half_map(eps, entropy, log_a, cost_eps.T, rho_b, floor)
     half_f = _half_map(eps, entropy, log_b, cost_eps, rho_a, floor)
-    # a Dirac pair iterates on floats (see _half_map)
-    dirac = cost.size == 1
-    sup = abs if dirac else _sup_norm
+    translate = (_kl_translation(entropy.rho, alpha, beta)
+                 if isinstance(entropy, KL) and rho_a is None else None)
 
     def sweep(fg):
         f, g = fg
-        g_new = half_g(f)
+        # the returned f stays the output of an f half-update
+        g_new = half_g(f if translate is None else f + translate(f, g))
         f_new = half_f(g_new)
-        return (f_new, g_new), max(sup(f_new - f), sup(g_new - g))
+        return (f_new, g_new), max(_sup_norm(f_new - f), _sup_norm(g_new - g))
 
-    f0 = _initial(opts.init, entropy, eps, alpha, beta, cost)
     (f, g), report = _iterate(
-        sweep, [float(v[0]) for v in f0] if dirac else f0, opts)
-    return DualPotentials(np.atleast_1d(f), np.atleast_1d(g), eps,
-                          entropy), report
+        sweep, _initial(opts.init, entropy, eps, alpha, beta, cost), opts)
+    return DualPotentials(f, g, eps, entropy), report
 
 
 def solve_symmetric(alpha: DiscreteMeasure, cost: np.ndarray, entropy: Entropy,
@@ -353,17 +372,14 @@ def solve_symmetric(alpha: DiscreteMeasure, cost: np.ndarray, entropy: Entropy,
     rho_a, log_a = entropy.rho_at(alpha.points), alpha.log_weights
     cost_eps = cost / eps
     half = _half_map(eps, entropy, log_a, cost_eps, rho_a, _floored(cost_eps))
-    dirac = cost.size == 1
-    sup = abs if dirac else _sup_norm
 
     def sweep(f):
         tf = half(f)
-        return 0.5 * (f + tf), sup(tf - f)
+        return 0.5 * (f + tf), _sup_norm(tf - f)
 
     f0 = _initial(opts.init, entropy, eps, alpha, alpha, cost,
                   symmetric=True)[0]
-    f, report = _iterate(sweep, float(f0[0]) if dirac else f0, opts)
-    return np.atleast_1d(f), report
+    return _iterate(sweep, f0, opts)
 
 
 def symmetric_potentials(alpha: DiscreteMeasure, cost: np.ndarray,

@@ -6,7 +6,7 @@ import pytest
 from uot import (KL, TV, Balanced, Berg, CostSpec, DiscreteMeasure,
                  DomainError, Power, Range, SolveOptions,
                  UnsupportedEntropyError, dual_value, grad_positions,
-                 grad_weights, hausdorff_divergence, ot_eps,
+                 grad_weights, hausdorff_divergence, ot_eps, plan_matrix,
                  sinkhorn_divergence, sinkhorn_entropy, solve)
 from uot.divergences import quadratic_term, solve_terms
 from uot.sinkhorn import extrapolate
@@ -186,14 +186,16 @@ def test_divergence_infeasible_cross_term():
 
 
 def test_divergence_reports_a_self_solve_stopped_at_max_iter():
-    # on this instance the cross solve converges in 23 sweeps and the self
-    # solve of ``a`` needs 24: a budget of 23 stops only the self solve
+    # on this instance the cross solve converges in 21 sweeps, the self
+    # solve of ``a`` needs 24 and that of ``b`` 22: a budget of 23 stops
+    # only the self solve of ``a``
     n = 8
     rng = np.random.default_rng([4, n])
     a = DiscreteMeasure(rng.uniform(0.5, 1.5, n) / n, rng.random((n, 2)))
     b = DiscreteMeasure(rng.uniform(0.5, 1.5, n) / n * 1.2, rng.random((n, 2)))
-    assert ot_eps(a, b, SQ, KL(0.1), 0.05).report.iterations == 23
+    assert ot_eps(a, b, SQ, KL(0.1), 0.05).report.iterations == 21
     assert sinkhorn_entropy(a, SQ, KL(0.1), 0.05).report.iterations == 24
+    assert sinkhorn_entropy(b, SQ, KL(0.1), 0.05).report.iterations == 22
     res = sinkhorn_divergence(a, b, SQ, KL(0.1), 0.05,
                               SolveOptions(max_iter=23))
     assert res.report.status == "max_iter"
@@ -332,6 +334,23 @@ def test_position_gradient_matches_finite_differences(entropy, which):
         gw = grad_weights(a, b, SQ, entropy, eps, "ot", TIGHT)
         assert np.max(np.abs(g.d_points_b - fd_pb)) <= 1e-5 * max(np.max(np.abs(fd_pb)), 1e-12)
         assert np.max(np.abs(gw.d_weights_b - fd_wb)) <= 1e-5 * max(np.max(np.abs(fd_wb)), 1e-12)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_position_gradient_matches_the_tensor_contraction(d):
+    # the gradient contracts the plan with grad_x one coordinate at a time
+    rng = np.random.default_rng(60 + d)
+    a, b = random_measure(rng, 30, d), random_measure(rng, 40, d)
+    for spec in (SQ, CostSpec.euclidean_pow(1.5, 2.0)):
+        g = grad_positions(a, b, spec, KL(1.0), 0.3, "ot")
+        cost = spec.pairwise(a.points, b.points)
+        pots, _ = solve(a, b, cost, KL(1.0), 0.3)
+        plan = plan_matrix(pots, a, b, cost)
+        for got, pi, own, other in ((g.d_points_a, plan, a, b),
+                                    (g.d_points_b, plan.T, b, a)):
+            ref = np.einsum("ij,ijk->ik", pi,
+                            spec.grad_x(own.points, other.points))
+            assert np.array_equal(got, ref)
 
 
 def test_divergence_position_gradient_vanishes_at_equal_measures():

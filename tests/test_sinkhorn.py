@@ -6,8 +6,8 @@ import pytest
 import uot.sinkhorn
 from uot import (KL, TV, Balanced, Berg, CostSpec, DiscreteMeasure,
                  DomainError, DualPotentials, Power, Range, SolveOptions,
-                 dual_value, extrapolate, half_update, implicit_plan,
-                 plan_matrix, softmin, solve, solve_symmetric)
+                 dual_value, duality_gap, extrapolate, half_update,
+                 implicit_plan, plan_matrix, softmin, solve, solve_symmetric)
 from uot.divergences import quadratic_term
 
 SQ = CostSpec.sq_euclidean()
@@ -257,14 +257,17 @@ def test_provided_init_is_used():
     (KL(10.0), 1.4), (TV(0.5), 1.4), (Berg(1.0), 1.4), (Range(0.5, 1.5), 1.4),
     (Balanced(), 1.0)])
 @pytest.mark.parametrize("symmetric", [False, True])
-def test_dirac_pair_sweeps_match_the_array_half_update(entropy, mass,
-                                                       symmetric):
-    # 1 x 1 solves iterate on floats; every sweep must equal, bit for bit,
-    # the array half-update that larger problems run
+def test_dirac_pair_sweeps_match_the_array_half_update(monkeypatch, entropy,
+                                                       mass, symmetric):
+    # a Dirac pair runs the array loop of larger problems: without the
+    # kernel cache every sweep equals, bit for bit, one through half_update
+    monkeypatch.setattr(uot.sinkhorn, "_KERNEL_DRIFT", 0.0)
     a, b, cost = dirac_pair(0.7, 1.0, mass)
     eps, f, g = 0.05, np.array([0.3]), np.array([-0.2])
     opts = SolveOptions(tol=1e-300, max_iter=40, init=(f, g),
                         record_history=True)
+    translate = (uot.sinkhorn._kl_translation(entropy.rho, a, b)
+                 if isinstance(entropy, KL) else lambda f, g: 0.0)
     history = []
     for _ in range(opts.max_iter):
         if symmetric:
@@ -272,7 +275,7 @@ def test_dirac_pair_sweeps_match_the_array_half_update(entropy, mass,
             history.append(float(np.abs(tf - f).max()))
             f = 0.5 * (f + tf)
         else:
-            g_new = half_update(eps, entropy, a, f, cost.T)
+            g_new = half_update(eps, entropy, a, f + translate(f, g), cost.T)
             f_new = half_update(eps, entropy, b, g_new, cost)
             history.append(max(float(np.abs(f_new - f).max()),
                                float(np.abs(g_new - g).max())))
@@ -530,6 +533,9 @@ def exact_sweep(symmetric, a, b, entropy, eps, f, g):
         tf = half_update(eps, entropy, a, f, cost, rho=entropy.rho_at(a.points))
         return [0.5 * (f + tf)]
     cost = SQ.pairwise(a.points, b.points)
+    if isinstance(entropy, KL) and entropy.rho_fn is None:
+        # a uniform KL loop translates the g half-update's input
+        f = f + uot.sinkhorn._kl_translation(entropy.rho, a, b)(f, g)
     # the loop sums each row of a C-ordered block; the sums over a transposed
     # view run in another order
     g = half_update(eps, entropy, a, f, np.ascontiguousarray(cost.T),
@@ -543,7 +549,9 @@ def potentials(symmetric, result):
     return ([pots] if symmetric else [pots.f, pots.g]), report
 
 
-@pytest.mark.parametrize("eps", [1e-3, 0.05])
+@pytest.mark.parametrize("eps, size", [
+    (1e-3, (20, 30)), (0.05, (20, 30)), (1e-3, (1, 1)), (0.05, (1, 1))],
+    ids=["0.001", "0.05", "0.001-1x1", "0.05-1x1"])
 @pytest.mark.parametrize("entropy", [
     KL(1.0), KL(0.5, rho_fn=lambda pts: 0.5 + pts[:, 0]), TV(0.3), Balanced(),
     Berg(0.8), Power(1.0, 0.5), Range(0.5, 1.5)],
@@ -551,9 +559,10 @@ def potentials(symmetric, result):
 @pytest.mark.parametrize("symmetric", [False, True],
                          ids=["solve", "solve_symmetric"])
 def test_cached_kernel_matches_the_exact_loop(monkeypatch, symmetric, entropy,
-                                              eps):
+                                              eps, size):
+    # a Dirac pair (1 x 1) runs the same array loop as larger problems
     mass_b = 1.0 if isinstance(entropy, Balanced) else 1.2
-    a, b = normalized_pair(np.random.default_rng(50), 20, 30, mass_b)
+    a, b = normalized_pair(np.random.default_rng(50), *size, mass_b)
     f0, g0 = np.zeros(len(a)), np.zeros(len(b))
     first, _ = potentials(symmetric, run_solver(
         symmetric, a, b, eps=eps, entropy=entropy, max_iter=1,
@@ -595,3 +604,81 @@ def test_cold_solves_at_tiny_eps_rebuild_the_kernel(monkeypatch, entropy,
     assert exact_report.converged
     value, exact_value = (dual_value(p, a, b, cost) for p in (pots, exact))
     assert abs(value - exact_value) <= 1e-10 * abs(exact_value)
+
+
+# ---------------------------------------------------------------- translation
+
+
+def kl_translation_slope(a, b, rho, f, g):
+    """The KL dual's derivative along ``(f + t, g - t)`` at ``t = 0``,
+    relative to the first sum (the entropic term does not move)."""
+    sum_a = a.weights @ np.exp(-f / rho)
+    return 1.0 - (b.weights @ np.exp(-g / rho)) / sum_a
+
+
+def test_kl_translation_maximizes_the_dual_along_the_mass_shift():
+    rng = np.random.default_rng(52)
+    a, b = normalized_pair(rng, 40, 50, 1.5)
+    cost = SQ.pairwise(a.points, b.points)
+    rho, eps = 1.0, 1e-2
+    lam = uot.sinkhorn._kl_translation(rho, a, b)
+    for _ in range(5):
+        f, g = rng.standard_normal(40), rng.standard_normal(50)
+        t = lam(f, g)
+        assert abs(kl_translation_slope(a, b, rho, f + t, g - t)) <= 1e-14
+    # at the solver's output the dual, entropic term included, is flat
+    pots, report = solve(a, b, cost, KL(rho), eps, SolveOptions(tol=1e-9))
+    assert report.converged
+    assert abs(kl_translation_slope(a, b, rho, pots.f, pots.g)) <= 1e-14
+
+    def dual(t):
+        shifted = DualPotentials(pots.f + t, pots.g - t, eps, KL(rho))
+        return (-a.weights @ KL(rho).conj(-shifted.f)
+                - b.weights @ KL(rho).conj(-shifted.g)
+                - eps * quadratic_term(shifted, a, b, cost, method="lse"))
+
+    h = 1e-4
+    assert abs(dual(h) - dual(-h)) / (2 * h) <= 1e-11
+
+
+def test_kl_translation_cuts_the_sweeps_of_a_cold_solve():
+    # the plain loop contracts at (rho / (rho + eps))^2: 5306 sweeps here
+    a, b, cost = random_pair(np.random.default_rng(0), 300, 300)
+    pots, report = solve(a, b, cost, KL(1.0), 1e-3, SolveOptions(tol=1e-9))
+    assert report.converged and report.iterations <= 1800
+    gap = duality_gap(a, b, cost, KL(1.0), 1e-3, pots)
+    assert abs(gap.gap) <= 1e-9 * abs(gap.dual)
+
+
+@pytest.mark.parametrize("shift", [1e4, -1e4])
+def test_kl_translation_absorbs_a_huge_mass_shift(shift):
+    # exp(-f / rho) would overflow (or underflow to 0) on either side
+    a, b = normalized_pair(np.random.default_rng(53), 20, 30, 1.2)
+    cost = SQ.pairwise(a.points, b.points)
+    rho, eps = 0.5, 0.05
+    pots, _ = solve(a, b, cost, KL(rho), eps, SolveOptions(tol=1e-11))
+    init = (pots.f + shift * rho, pots.g - shift * rho)
+    moved, report = solve(a, b, cost, KL(rho), eps,
+                          SolveOptions(tol=1e-11, init=init))
+    # the first sweep translates the shift away
+    assert report.converged and report.iterations <= 3
+    assert np.allclose(moved.f, pots.f, rtol=0, atol=1e-9)
+    assert np.allclose(moved.g, pots.g, rtol=0, atol=1e-9)
+
+
+@pytest.mark.parametrize("entropy, mass_b", [
+    (KL(0.5, rho_fn=lambda pts: 0.5 + pts[:, 0]), 1.2), (TV(0.3), 1.2),
+    (Power(1.0, 0.5), 1.2), (Balanced(), 1.0)],
+    ids=["spatial_kl", "tv", "power", "balanced"])
+def test_only_uniform_kl_solves_translate(monkeypatch, entropy, mass_b):
+    def no_translation(*args):
+        raise AssertionError("translated a solve that runs the plain loop")
+
+    a, b = normalized_pair(np.random.default_rng(54), 20, 30, mass_b)
+    cost = SQ.pairwise(a.points, b.points)
+    monkeypatch.setattr(uot.sinkhorn, "_kl_translation", no_translation)
+    assert solve(a, b, cost, entropy, 0.05)[1].converged
+    assert solve_symmetric(a, SQ.pairwise(a.points, a.points), KL(1.0),
+                           0.05)[1].converged
+    with pytest.raises(AssertionError, match="plain loop"):
+        solve(a, b, cost, KL(1.0), 0.05)
