@@ -24,12 +24,10 @@ floored at ``_EXP_FLOOR = -700``, just above that threshold, before ``exp``:
 - ``plan_matrix`` is not max-shifted: it sets the entries whose log lies
   below the floor to exactly 0, so ``implicit_plan`` drops them as it
   dropped the entries that underflowed to 0.
-- The floor costs one more pass over the block, which a 1 x 1 solve would
-  pay on each of its thousands of sweeps for nothing.  A solve therefore
-  decides once, from its scaled cost (``_floored``), whether its
-  half-updates floor: a spread of ``C / eps`` below ``_FLOOR_SPREAD = 100``
-  keeps the kernel above ``e^-100`` unless the potentials alone span
-  hundreds of ``eps``.  The decision changes speed only, never a result.
+
+The exact softmin (``_softmin_rows``) is the only code that scales a cost
+block: it divides the cost by ``eps`` straight into its kernel buffer, so
+no solve keeps an N x M copy of ``C / eps``.
 
 Each half-update of a solve keeps the kernel of its last exact softmin,
 ``K_ij = w_j exp(pot_j/eps - C_ij/eps - mx_i)``, with the row shifts ``mx``
@@ -57,9 +55,10 @@ cached softmin differs from the exact one by rounding only:
   machine above, one BLAS thread).
 
 A constant shift of the potential, the mass translation that dominates at
-``rho >> eps``, moves ``lo`` only and never forces a rebuild.  ``softmin``,
-``half_update`` and ``extrapolate`` make one call each and always take the
-exact path.  A Dirac pair runs this loop on its 1 x 1 kernel.
+``rho >> eps``, moves ``lo`` only and never forces a rebuild.
+``half_update`` (and ``extrapolate`` through it) applies a fresh half-update
+map once, so it and ``softmin`` always take the exact path.  A Dirac pair
+runs this loop on its 1 x 1 kernel.
 
 For KL the plain loop contracts at ``(rho / (rho + eps))^2``, close to 1
 when ``rho >> eps``, and the slow mode is that mass translation,
@@ -105,14 +104,7 @@ MAX_ITER = "max_iter"
 INFEASIBLE = "infeasible"
 
 _EXP_FLOOR = -700.0
-_FLOOR_SPREAD = 100.0
 _KERNEL_DRIFT = 30.0
-
-
-def _floored(cost_over_eps) -> bool:
-    """Whether softmins over this scaled cost floor their exponents."""
-    return (cost_over_eps.size > 0
-            and float(cost_over_eps.max() - cost_over_eps.min()) > _FLOOR_SPREAD)
 
 
 def softmin(eps: float, measure: DiscreteMeasure, values) -> float:
@@ -125,40 +117,35 @@ def softmin(eps: float, measure: DiscreteMeasure, values) -> float:
     if h.shape != measure.weights.shape:
         raise DomainError(f"value vector of length {h.shape} over "
                           f"{len(measure)} atoms")
-    h_over_eps = (h / eps)[None, :]
-    smin, _ = _softmin_rows_scaled(eps, measure.log_weights,
-                                   np.zeros_like(h), h_over_eps,
-                                   _floored(h_over_eps))
+    smin, _ = _softmin_rows(eps, measure.log_weights, np.zeros_like(h),
+                            h[None, :])
     return float(smin[0])
 
 
-def _softmin_rows_scaled(eps, log_w, pot, cost_over_eps, floor, out=None):
-    """Row-wise softmin with the cost pre-divided by eps (hot loop path);
-    ``floor`` raises the shifted exponents to ``_EXP_FLOOR``.
+def _softmin_rows(eps, log_w, pot, cost, out=None):
+    """Row-wise exact softmin of ``cost`` with its exponents floored at
+    ``_EXP_FLOOR``.
 
     Returns the softmins and the row shifts ``mx``, and leaves the kernel
     ``K_ij = w_j exp(pot_j/eps - C_ij/eps - mx_i)`` in ``out`` if given.
     """
-    scaled = log_w + pot / eps
-    tmp = np.subtract(scaled[None, :], cost_over_eps, out=out)
-    # ufunc reductions skip the Python frames of ndarray.max and .sum, which
-    # a 1 x 1 solve would pay on each of its thousands of sweeps
+    tmp = np.divide(cost, eps, out=out)
+    np.subtract((log_w + pot / eps)[None, :], tmp, out=tmp)
     mx = np.maximum.reduce(tmp, axis=1)
     tmp -= mx[:, None]
-    if floor:
-        np.maximum(tmp, _EXP_FLOOR, out=tmp)
+    np.maximum(tmp, _EXP_FLOOR, out=tmp)
     np.exp(tmp, out=tmp)
     return -eps * (mx + np.log(np.add.reduce(tmp, axis=1))), mx
 
 
-def _half_map(eps, entropy, log_w, cost_over_eps, rho, floor):
-    """One solve's damped half-update as a map ``pot -> new pot``.
+def _half_map(eps, entropy, log_w, cost, rho):
+    """One damped half-update as a map ``pot -> new pot``.
 
     Keeps the kernel of its last exact softmin in one N x M buffer and
     reuses it while the potential's drift ``d`` spans less than
     ``_KERNEL_DRIFT`` (see the module docstring).
     """
-    kernel = np.empty(cost_over_eps.shape)
+    kernel = np.empty(cost.shape)
     ref = mx = None
 
     def half(pot):
@@ -171,8 +158,7 @@ def _half_map(eps, entropy, log_w, cost_over_eps, rho, floor):
                 rows = kernel @ np.exp(d, out=d)
                 smin = -eps * ((mx + lo) + np.log(rows))
                 return _with_rho(entropy.damp, eps, smin, rho=rho)
-        smin, mx = _softmin_rows_scaled(eps, log_w, pot, cost_over_eps,
-                                        floor, out=kernel)
+        smin, mx = _softmin_rows(eps, log_w, pot, cost, out=kernel)
         ref = pot.copy()
         return _with_rho(entropy.damp, eps, smin, rho=rho)
     return half
@@ -203,15 +189,24 @@ def half_update(eps: float, entropy: Entropy, m_other: DiscreteMeasure,
     """One dual half-update: dampened softmin against the other support.
 
     ``cost_rows[i, j] = C(z_i, w_j)`` with ``z`` the support being updated
-    and ``w`` the support of ``m_other``.
+    and ``w`` the support of ``m_other``.  Raises ``DomainError`` unless
+    ``eps > 0`` and ``pot_other`` and the columns of ``cost_rows`` have one
+    entry per atom of ``m_other``.
     """
     if m_other.is_null:
         raise DomainError("half update against the null measure")
-    cost_over_eps = np.asarray(cost_rows, dtype=float) / eps
-    smin, _ = _softmin_rows_scaled(eps, m_other.log_weights,
-                                   np.asarray(pot_other, dtype=float),
-                                   cost_over_eps, _floored(cost_over_eps))
-    return _with_rho(entropy.damp, eps, smin, rho=rho)
+    if eps <= 0:
+        raise DomainError("eps must be positive")
+    pot_other = np.asarray(pot_other, dtype=float)
+    cost_rows = np.asarray(cost_rows, dtype=float)
+    if pot_other.shape != m_other.weights.shape:
+        raise DomainError(f"potential of shape {pot_other.shape} over "
+                          f"{len(m_other)} atoms")
+    if cost_rows.ndim != 2 or cost_rows.shape[1] != len(m_other):
+        raise DomainError(f"cost rows of shape {cost_rows.shape} against "
+                          f"{len(m_other)} atoms")
+    return _half_map(eps, entropy, m_other.log_weights, cost_rows, rho)(
+        pot_other)
 
 
 @dataclass
@@ -337,12 +332,10 @@ def solve(alpha: DiscreteMeasure, beta: DiscreteMeasure, cost: np.ndarray,
 
     rho_a, rho_b = entropy.rho_at(alpha.points), entropy.rho_at(beta.points)
     log_a, log_b = alpha.log_weights, beta.log_weights
-    cost_eps = cost / eps
-    floor = _floored(cost_eps)
     # the g side reads the transposed view only when it rebuilds its kernel,
     # which it writes into its own contiguous buffer
-    half_g = _half_map(eps, entropy, log_a, cost_eps.T, rho_b, floor)
-    half_f = _half_map(eps, entropy, log_b, cost_eps, rho_a, floor)
+    half_g = _half_map(eps, entropy, log_a, cost.T, rho_b)
+    half_f = _half_map(eps, entropy, log_b, cost, rho_a)
     translate = (_kl_translation(entropy.rho, alpha, beta)
                  if isinstance(entropy, KL) and rho_a is None else None)
 
@@ -370,8 +363,7 @@ def solve_symmetric(alpha: DiscreteMeasure, cost: np.ndarray, entropy: Entropy,
     opts = opts or SolveOptions()
     cost = _check_entry(alpha, alpha, cost, eps)
     rho_a, log_a = entropy.rho_at(alpha.points), alpha.log_weights
-    cost_eps = cost / eps
-    half = _half_map(eps, entropy, log_a, cost_eps, rho_a, _floored(cost_eps))
+    half = _half_map(eps, entropy, log_a, cost, rho_a)
 
     def sweep(f):
         tf = half(f)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -128,6 +129,31 @@ def test_half_update_fixed_point_is_stationary(entropy):
     g_again = half_update(eps, entropy, a, pots.f, cost.T)
     assert abs(f_again[0] - pots.f[0]) <= 1e-12
     assert abs(g_again[0] - pots.g[0]) <= 1e-12
+
+
+@pytest.mark.parametrize("n_other, eps, pot, cost_shape", [
+    (1, 0.1, [0.0], (5, 3)), (3, -0.1, [0.0] * 3, (5, 3)),
+    (3, 0.1, [0.0], (5, 3)), (3, 0.1, [0.0] * 3, (5, 2))],
+    ids=["one-atom-against-three-columns", "negative-eps",
+         "short-potential", "two-columns-against-three-atoms"])
+def test_half_update_rejects_mismatched_inputs(n_other, eps, pot, cost_shape):
+    # numpy would broadcast the first and third, compute the second and
+    # raise its own ValueError on the fourth
+    m_other = DiscreteMeasure(np.full(n_other, 1.0 / n_other),
+                              np.arange(float(n_other))[:, None])
+    with pytest.raises(DomainError):
+        half_update(eps, KL(1.0), m_other, np.array(pot), np.ones(cost_shape))
+
+
+def test_half_update_does_not_depend_on_memory_layout():
+    # the kernel buffer is C-ordered whatever the layout of the cost rows
+    rng = np.random.default_rng(14)
+    for _ in range(20):
+        a, b, cost = random_pair(rng, 60, 70)
+        f = 0.01 * rng.standard_normal(60)
+        assert np.array_equal(
+            half_update(1e-3, KL(1.0), a, f, cost.T),
+            half_update(1e-3, KL(1.0), a, f, np.ascontiguousarray(cost.T)))
 
 
 # ---------------------------------------------------------------- solve
@@ -502,20 +528,16 @@ class CountingNumpy:
 
 
 @pytest.mark.parametrize("symmetric", [False, True])
-def test_solve_floors_exponents_only_over_a_wide_scaled_cost(monkeypatch,
-                                                             symmetric):
+def test_solve_floors_every_exponentiated_kernel(monkeypatch, symmetric):
     counting = CountingNumpy()
     monkeypatch.setattr(uot.sinkhorn, "np", counting)
-    a, b, _ = dirac_pair(2.0)
-    run_solver(symmetric, a, b, eps=0.01, max_iter=50)
-    # squared distances in the unit square stay below 2: C/eps < 40
+    dirac = dirac_pair(2.0)[:2]
     a, b, _ = random_pair(np.random.default_rng(41), 20, 30)
-    run_solver(symmetric, a, b, eps=0.05, max_iter=50)
-    assert counting.maximum.calls == 0
-    counting.exp.calls = 0
-    run_solver(symmetric, a, b, eps=1e-3, max_iter=50)
-    # one floor each time a half-update exponentiates its kernel
-    assert counting.maximum.calls == counting.exp.calls >= 1
+    # a narrow scaled cost (C/eps < 40 in the unit square) floors too
+    for (x, y), eps in [(dirac, 0.01), ((a, b), 0.05), ((a, b), 1e-3)]:
+        counting.maximum.calls = counting.exp.calls = 0
+        run_solver(symmetric, x, y, eps=eps, max_iter=50)
+        assert counting.maximum.calls == counting.exp.calls >= 1
 
 
 # ---------------------------------------------------------------- kernel cache
@@ -536,10 +558,7 @@ def exact_sweep(symmetric, a, b, entropy, eps, f, g):
     if isinstance(entropy, KL) and entropy.rho_fn is None:
         # a uniform KL loop translates the g half-update's input
         f = f + uot.sinkhorn._kl_translation(entropy.rho, a, b)(f, g)
-    # the loop sums each row of a C-ordered block; the sums over a transposed
-    # view run in another order
-    g = half_update(eps, entropy, a, f, np.ascontiguousarray(cost.T),
-                    rho=entropy.rho_at(b.points))
+    g = half_update(eps, entropy, a, f, cost.T, rho=entropy.rho_at(b.points))
     f = half_update(eps, entropy, b, g, cost, rho=entropy.rho_at(a.points))
     return [f, g]
 
@@ -604,6 +623,28 @@ def test_cold_solves_at_tiny_eps_rebuild_the_kernel(monkeypatch, entropy,
     assert exact_report.converged
     value, exact_value = (dual_value(p, a, b, cost) for p in (pots, exact))
     assert abs(value - exact_value) <= 1e-10 * abs(exact_value)
+
+
+def traced_peak(fn):
+    """Peak memory ``fn`` allocates beyond what is live when it starts."""
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        fn()
+        return tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+
+
+def test_solves_hold_one_kernel_per_half_update():
+    # the kernels are the only N x M arrays a solve allocates: no C / eps
+    a, b, cost = random_pair(np.random.default_rng(55), 300, 400)
+    cost_aa = SQ.pairwise(a.points, a.points)
+    opts = SolveOptions(max_iter=20)
+    peak = traced_peak(lambda: solve(a, b, cost, KL(1.0), 0.05, opts))
+    assert peak < 2.5 * cost.nbytes
+    peak = traced_peak(lambda: solve_symmetric(a, cost_aa, KL(1.0), 0.05, opts))
+    assert peak < 1.5 * cost_aa.nbytes
 
 
 # ---------------------------------------------------------------- translation
