@@ -169,9 +169,10 @@ def _write_flow_csvs(trajectory, out_dir) -> None:
                                 + [repr(float(r * r))])
     with open(os.path.join(out_dir, "summary.csv"), "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["step", "S_eps"])
+        writer.writerow(["step", "S_eps", "status", "sweeps"])
         for state in trajectory:
-            writer.writerow([state.step, repr(float(state.s_eps))])
+            writer.writerow([state.step, repr(float(state.s_eps)),
+                             state.report.status, state.report.iterations])
 
 
 def _cmd_flow(args) -> int:

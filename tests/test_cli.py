@@ -107,7 +107,12 @@ def test_flow_zero_steps_single_snapshot(tmp_path, capsys):
     masses = [float(line.split(",")[-1]) for line in lines[1:]]
     # masses round-trip through r = sqrt(w), exact only to machine precision
     assert np.allclose(masses, source.weights, rtol=1e-15)
-    assert (out / "summary.csv").read_text().startswith("step,S_eps")
+    summary = (out / "summary.csv").read_text()
+    assert summary.startswith("step,S_eps")
+    header, row = summary.strip().splitlines()
+    assert header == "step,S_eps,status,sweeps"
+    step, _, status, sweeps = row.split(",")
+    assert (step, status) == ("0", "converged") and int(sweeps) > 0
 
 
 def test_check_command(tmp_path):

@@ -1,6 +1,9 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+import uot.divergences
 from uot import (KL, TV, Balanced, CostSpec, DiscreteMeasure, DomainError,
                  FlowParams, FlowState, SolveOptions, flow_step, run_flow,
                  sinkhorn_divergence)
@@ -172,3 +175,76 @@ def test_snapshot_value_is_the_divergence(entropy):
         expected = sinkhorn_divergence(snap.measure(), target, SQ, entropy,
                                        0.01, opts).value
         assert snap.s_eps == pytest.approx(expected, rel=1e-8, abs=1e-9)
+
+
+def two_clouds(seed, n):
+    """Criterion 12's layout at ``n`` particles: a source of mass 1.3 near
+    (0.1, 0.1), a unit-mass target near (0.7, 0.7)."""
+    rng = np.random.default_rng(seed)
+    target = DiscreteMeasure(np.full(n, 1.0 / n),
+                             0.7 + 0.06 * rng.standard_normal((n, 2)))
+    src = 0.1 + 0.06 * rng.standard_normal((n, 2))
+    return FlowState(src, np.sqrt(np.full(n, 1.3 / n))), target
+
+
+def recorded_solves(monkeypatch):
+    """``(init, potentials, report)`` of every cross solve run through
+    ``uot.divergences``, in order."""
+    inner, calls = uot.divergences.solve, []
+
+    def recorded(*args, **kwargs):
+        pots, report = inner(*args, **kwargs)
+        calls.append((args[-1].init, pots, report))
+        return pots, report
+
+    monkeypatch.setattr(uot.divergences, "solve", recorded)
+    return calls
+
+
+# cross-solve sweeps of this flow when each step warm-starts from the last
+# (f, g), and from the extrapolated target potential alone; the bound sits
+# halfway
+@pytest.mark.parametrize("entropy, fg_sweeps, g_only_sweeps", [
+    (KL(0.1), 668, 423), (TV(0.1), 244, 126)], ids=["kl", "tv"])
+def test_cross_solves_warm_start_from_the_target_potential(
+        monkeypatch, entropy, fg_sweeps, g_only_sweeps):
+    calls = recorded_solves(monkeypatch)
+    state, target = two_clouds(72, 40)
+    params = FlowParams(eta_x=12.0, eps=1e-2, entropy=entropy, steps=40,
+                        solve_tol=1e-6, solve_max_iter=2000, mass_rate="eta_r")
+    run_flow(state, target, SQ, params, snapshot_every=40)
+    reports = [report for *_, report in calls]
+    assert len(reports) == 42 and all(r.converged for r in reports)
+    assert sum(r.iterations for r in reports) <= (fg_sweeps
+                                                  + g_only_sweeps) // 2
+
+
+def test_cross_solves_start_from_the_extrapolated_target_potential(
+        monkeypatch):
+    calls = recorded_solves(monkeypatch)
+    state, target = two_clouds(74, 10)
+    params = FlowParams(eta_x=3.0, eps=1e-2, entropy=KL(0.1), steps=4,
+                        solve_tol=1e-6, mass_rate="eta_r")
+    run_flow(state, target, SQ, params, snapshot_every=2)
+    # snapshot 0, steps 0 and 1, snapshot 2, steps 2 and 3, snapshot 4
+    inits = [init for init, *_ in calls]
+    g = [pots.g for _, pots, _ in calls]
+    assert inits[0] == "asymptotic"
+    expected = {1: g[0], 2: g[1], 3: 2.0 * g[2] - g[1],
+                # the snapshot already solved step 2
+                4: g[3], 5: 2.0 * g[4] - g[2], 6: 2.0 * g[5] - g[4]}
+    for k, g_start in expected.items():
+        assert inits[k][0] is None and np.array_equal(inits[k][1], g_start)
+
+
+def test_snapshots_report_their_solves():
+    state, target = two_clouds(73, 10)
+    params = FlowParams(eta_x=3.0, eps=1e-2, entropy=KL(0.1), steps=4,
+                        solve_tol=1e-6, mass_rate="eta_r")
+    traj = run_flow(state, target, SQ, params, snapshot_every=2)
+    for snap in traj:
+        assert snap.report.converged and snap.report.iterations > 0
+    # a solve cut at max_iter shows in the snapshot's report
+    params = replace(params, solve_max_iter=3)
+    for snap in run_flow(state, target, SQ, params, snapshot_every=2):
+        assert snap.report.status == "max_iter"

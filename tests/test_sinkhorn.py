@@ -131,18 +131,22 @@ def test_half_update_fixed_point_is_stationary(entropy):
     assert abs(g_again[0] - pots.g[0]) <= 1e-12
 
 
-@pytest.mark.parametrize("n_other, eps, pot, cost_shape", [
-    (1, 0.1, [0.0], (5, 3)), (3, -0.1, [0.0] * 3, (5, 3)),
-    (3, 0.1, [0.0], (5, 3)), (3, 0.1, [0.0] * 3, (5, 2))],
+@pytest.mark.parametrize("n_other, eps, pot, cost_shape, rho", [
+    (1, 0.1, [0.0], (5, 3), None), (3, -0.1, [0.0] * 3, (5, 3), None),
+    (3, 0.1, [0.0], (5, 3), None), (3, 0.1, [0.0] * 3, (5, 2), None),
+    (2, 0.1, [0.0] * 2, (3, 2), [0.5]), (2, 0.1, [0.0] * 2, (3, 2), [0.5] * 2)],
     ids=["one-atom-against-three-columns", "negative-eps",
-         "short-potential", "two-columns-against-three-atoms"])
-def test_half_update_rejects_mismatched_inputs(n_other, eps, pot, cost_shape):
-    # numpy would broadcast the first and third, compute the second and
-    # raise its own ValueError on the fourth
+         "short-potential", "two-columns-against-three-atoms",
+         "one-rho-against-three-rows", "two-rho-against-three-rows"])
+def test_half_update_rejects_mismatched_inputs(n_other, eps, pot, cost_shape,
+                                               rho):
+    # numpy would broadcast the first, third and fifth, compute the second
+    # and raise its own ValueError on the fourth and sixth
     m_other = DiscreteMeasure(np.full(n_other, 1.0 / n_other),
                               np.arange(float(n_other))[:, None])
     with pytest.raises(DomainError):
-        half_update(eps, KL(1.0), m_other, np.array(pot), np.ones(cost_shape))
+        half_update(eps, KL(1.0), m_other, np.array(pot), np.ones(cost_shape),
+                    rho=None if rho is None else np.array(rho))
 
 
 def test_half_update_does_not_depend_on_memory_layout():
@@ -204,7 +208,10 @@ def test_solve_validates_inputs():
                     # a bare vector is a symmetric-only init with n entries
                     dict(init=np.zeros(1 if symmetric else n)),
                     # (f, g) with the lengths swapped; solve_symmetric reads f
-                    dict(init=(np.zeros(len(b)), np.zeros(len(a))))]
+                    dict(init=(np.zeros(len(b)), np.zeros(len(a)))),
+                    # (None, g) is solve-only, with one g entry per b atom
+                    dict(init=(None, np.zeros(len(a)))),
+                    dict(init=(None, None))]
         for case in rejected:
             with pytest.raises(DomainError):
                 run_solver(symmetric, a, b, **case)
@@ -277,6 +284,74 @@ def test_provided_init_is_used():
                    SolveOptions(tol=1e-12, init=(p1.f, p1.g)))
     assert r2.iterations <= 2
     assert np.allclose(p1.f, p2.f, atol=1e-10)
+
+
+# ---------------------------------------------------------------- g-only init
+
+
+def moved_source_resolve(entropy, eps, seed, n, m, shift):
+    """Converged potentials on ``(a, b)``, and ``(a + shift, b)`` with its
+    cost: the cross solve of a particle-flow step."""
+    a, b, cost = random_pair(np.random.default_rng(seed), n, m)
+    pots, _ = solve(a, b, cost, entropy, eps, SolveOptions(tol=1e-11))
+    moved = DiscreteMeasure(a.weights, a.points + shift)
+    return pots, moved, b, SQ.pairwise(moved.points, b.points)
+
+
+@pytest.mark.parametrize("entropy", [KL(1.0), TV(0.5), Power(1.0, 0.5)],
+                         ids=["kl", "tv", "power"])
+def test_g_only_init_reaches_the_same_solution(entropy):
+    pots, a, b, cost = moved_source_resolve(entropy, 0.05, 27, 30, 40, 0.02)
+    results = [solve(a, b, cost, entropy, 0.05,
+                     SolveOptions(tol=1e-11, init=init))
+               for init in ((pots.f, pots.g), (None, pots.g))]
+    (fg, fg_report), (g_only, g_report) = results
+    assert fg_report.converged and g_report.converged
+    assert np.allclose(g_only.f, fg.f, rtol=0.0, atol=1e-9)
+    assert np.allclose(g_only.g, fg.g, rtol=0.0, atol=1e-9)
+    value = dual_value(fg, a, b, cost)
+    assert dual_value(g_only, a, b, cost) == pytest.approx(value, rel=1e-10)
+
+
+@pytest.mark.parametrize("entropy", [KL(1.0), TV(0.5), Berg(0.8)],
+                         ids=["kl", "tv", "berg"])
+def test_g_only_init_is_one_f_half_update_then_the_loop(monkeypatch,
+                                                        entropy):
+    # without the kernel cache every half-update is exact, so the start
+    # equals an (f, g) start from half_update's f, bit for bit
+    monkeypatch.setattr(uot.sinkhorn, "_KERNEL_DRIFT", 0.0)
+    pots, a, b, cost = moved_source_resolve(entropy, 0.05, 28, 20, 30, 0.02)
+    f = half_update(0.05, entropy, b, pots.g, cost)
+    opts = dict(tol=1e-11, record_history=True)
+    g_only, g_report = solve(a, b, cost, entropy, 0.05,
+                             SolveOptions(init=(None, pots.g), **opts))
+    ref, ref_report = solve(a, b, cost, entropy, 0.05,
+                            SolveOptions(init=(f, pots.g), **opts))
+    assert np.array_equal(g_only.f, ref.f) and np.array_equal(g_only.g, ref.g)
+    assert g_report.update_history == ref_report.update_history
+
+
+def test_g_only_init_saves_sweeps_on_the_solver_tour_resolve():
+    # the moved-source re-solve of demos/02_solver_tour.py, with its seeded
+    # sweep counts: KL(0.05) 10 cold, 9 and 9 warm; TV(0.05) 65, 31 and 29
+    rng = np.random.default_rng(0)
+    xs = np.concatenate([rng.normal(0.0, 0.05, 30), rng.normal(1.0, 0.05, 20)])
+    ys = rng.normal(0.05, 0.06, 40)
+    alpha = DiscreteMeasure(np.full(50, 1.0 / 50), xs)
+    beta = DiscreteMeasure(np.full(40, 0.8 / 40), ys)
+    moved = DiscreteMeasure(alpha.weights, alpha.points + 0.01)
+    cost, moved_cost = (SQ.pairwise(x.points, beta.points)
+                        for x in (alpha, moved))
+    for entropy in (KL(0.05), TV(0.05)):
+        pots, _ = solve(alpha, beta, cost, entropy, 1e-2,
+                        SolveOptions(tol=1e-10))
+        fg, g_only = (solve(moved, beta, moved_cost, entropy, 1e-2,
+                            SolveOptions(tol=1e-10, init=init))[1]
+                      for init in ((pots.f, pots.g), (None, pots.g)))
+        assert fg.converged and g_only.converged
+        assert g_only.iterations <= fg.iterations
+        if isinstance(entropy, TV):
+            assert g_only.iterations < fg.iterations
 
 
 @pytest.mark.parametrize("entropy, mass", [
