@@ -1,8 +1,9 @@
 """Transport costs, debiased divergences and their envelope gradients.
 
-Values are reported from the dual functional at the converged potentials:
-smooth conjugates (KL, power, Berg) admit a linear-time expression, the
-rest pay one stabilized log-sum-exp over the full product of supports.
+Values are reported from the dual functional at the converged potentials.
+Its entropic term reads the mass of the implicit plan: smooth conjugates
+(KL, power, Berg) give it in linear time, the rest sum the plan matrix of
+:mod:`uot.sinkhorn` over the full product of supports.
 The debiased quantities combine one cross solve with two symmetric solves:
 
     S_eps(a, b) = OT_eps(a, b) + F_eps(a) + F_eps(b) - eps m(a) m(b),
@@ -18,7 +19,7 @@ below, the CLI and the particle flow only read from it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Optional
 
@@ -27,9 +28,9 @@ import numpy as np
 from .entropies import Entropy, _with_rho
 from .errors import DomainError, UnsupportedEntropyError
 from .measures import CostSpec, DiscreteMeasure
-from .sinkhorn import (_EXP_FLOOR, CONVERGED, INFEASIBLE, DualPotentials,
-                       SolveOptions, SolveReport, _log_plan, extrapolate,
-                       plan_matrix, solve, symmetric_potentials)
+from .sinkhorn import (CONVERGED, INFEASIBLE, DualPotentials, SolveOptions,
+                       SolveReport, extrapolate, plan_matrix, solve,
+                       symmetric_potentials)
 
 _INF = math.inf
 
@@ -55,43 +56,29 @@ class Gradients:
     d_points_b: Optional[np.ndarray] = None
 
 
-def quadratic_term(pots: DualPotentials, alpha: DiscreteMeasure,
-                   beta: DiscreteMeasure, cost: np.ndarray,
-                   method: str = "lse") -> float:
-    """``<a (x) b, exp((f + g - C)/eps)>`` by stabilized LSE or, for smooth
-    conjugates, through the pointwise identity ``<a, (phi*)'(-f)>``."""
-    if method == "lse":
-        log_terms = _log_plan(pots, alpha, beta, cost)
-        mx = float(np.max(log_terms))
-        log_terms -= mx
-        np.maximum(log_terms, _EXP_FLOOR, out=log_terms)
-        return math.exp(mx) * float(np.sum(np.exp(log_terms, out=log_terms)))
-    if method == "conj":
-        e = pots.entropy
-        grad = _with_rho(e.conj_grad, -pots.f, rho=e.rho_at(alpha.points))
-        return float(alpha.weights @ grad)
-    raise DomainError(f"unknown quadratic method {method!r}")
-
-
 def dual_value(pots: DualPotentials, alpha: DiscreteMeasure,
                beta: DiscreteMeasure, cost: np.ndarray) -> float:
     """Dual objective at the given potentials (the reported OT value).
 
-    For smooth conjugates the quadratic term uses the pointwise identity
-    ``<a, (phi*)'(-f)>``: linear-time, and exact at any iterate produced by
-    an f-half-update (the aprox first-order condition enforces it), so the
-    reported value inherits the dual's stationarity.  Other entropies pay
-    one O(NM) stabilized LSE.
+    Its entropic term is ``eps`` times the mass of the implicit plan minus
+    ``m(a) m(b)``.  For smooth conjugates that mass is the pointwise
+    identity ``<a, (phi*)'(-f)>``: linear-time, and exact at any iterate
+    produced by an f-half-update (the aprox first-order condition enforces
+    it), so the reported value inherits the dual's stationarity.  Other
+    entropies sum :func:`~uot.sinkhorn.plan_matrix`, one O(NM) pass.
     """
     e, eps = pots.entropy, pots.eps
     mass_prod = alpha.total_mass * beta.total_mass
-    a_term = -float(alpha.weights @ _with_rho(e.conj, -pots.f,
-                                              rho=e.rho_at(alpha.points)))
+    rho_a = e.rho_at(alpha.points)
+    a_term = -float(alpha.weights @ _with_rho(e.conj, -pots.f, rho=rho_a))
     b_term = -float(beta.weights @ _with_rho(e.conj, -pots.g,
                                              rho=e.rho_at(beta.points)))
-    method = "conj" if e.smooth else "lse"
-    quad = quadratic_term(pots, alpha, beta, cost, method=method)
-    return a_term + b_term - eps * (quad - mass_prod)
+    if e.smooth:
+        plan_mass = float(alpha.weights @ _with_rho(e.conj_grad, -pots.f,
+                                                    rho=rho_a))
+    else:
+        plan_mass = float(np.sum(plan_matrix(pots, alpha, beta, cost)))
+    return a_term + b_term - eps * (plan_mass - mass_prod)
 
 
 def _worst_report(*reports) -> SolveReport:
@@ -247,6 +234,15 @@ class _Solved:
                          d_points_b=self.position_grad("b"))
 
 
+def _self_opts(opts):
+    """``opts`` for the self solves beside a cross solve: an init vector
+    lives on the supports of the cross problem, so they start from
+    ``"asymptotic"`` instead."""
+    if opts is None or isinstance(opts.init, str):
+        return opts
+    return replace(opts, init="asymptotic")
+
+
 def solve_terms(alpha: DiscreteMeasure, beta: DiscreteMeasure, cost: CostSpec,
                 entropy: Entropy, eps: float, which: str,
                 opts: Optional[SolveOptions] = None) -> _Solved:
@@ -258,6 +254,7 @@ def solve_terms(alpha: DiscreteMeasure, beta: DiscreteMeasure, cost: CostSpec,
     cross = _term(alpha, beta, cost, entropy, eps, opts)
     self_a = self_b = None
     if which == "s" and cross.report.status != INFEASIBLE:
+        opts = _self_opts(opts)
         self_a = _term(alpha, alpha, cost, entropy, eps, opts, symmetric=True)
         self_b = _term(beta, beta, cost, entropy, eps, opts, symmetric=True)
     return _Solved(cost, entropy, eps, cross, self_a, self_b)

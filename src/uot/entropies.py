@@ -184,8 +184,8 @@ class KL(Entropy):
     smooth = True
 
     def __post_init__(self):
-        if self.rho <= 0:
-            raise DomainError("KL requires rho > 0")
+        if not 0 < self.rho < _INF:
+            raise DomainError("KL requires a finite rho > 0")
 
     def _rho(self, rho):
         return self.rho if rho is None else np.asarray(rho, dtype=float)
@@ -194,8 +194,9 @@ class KL(Entropy):
         if self.rho_fn is None:
             return None
         rho = np.asarray(self.rho_fn(points), dtype=float)
-        if np.any(rho <= 0):
-            raise DomainError("spatially varying rho must stay positive")
+        if not np.all((0 < rho) & (rho < _INF)):
+            raise DomainError("spatially varying rho must stay positive "
+                              "and finite")
         return rho
 
     def phi(self, p, rho=None):
@@ -241,8 +242,8 @@ class TV(Entropy):
     rho: float = 1.0
 
     def __post_init__(self):
-        if self.rho <= 0:
-            raise DomainError("TV requires rho > 0")
+        if not 0 < self.rho < _INF:
+            raise DomainError("TV requires a finite rho > 0")
 
     def phi(self, p):
         p = np.asarray(p, dtype=float)
@@ -329,10 +330,10 @@ class Power(Entropy):
     smooth = True
 
     def __post_init__(self):
-        if self.rho <= 0:
-            raise DomainError("Power requires rho > 0")
-        if self.s >= 1 or self.s == 0:
-            raise DomainError("Power requires s < 1 and s != 0")
+        if not 0 < self.rho < _INF:
+            raise DomainError("Power requires a finite rho > 0")
+        if not -_INF < self.s < 1 or self.s == 0:
+            raise DomainError("Power requires a finite s < 1, s != 0")
 
     @property
     def r(self) -> float:
@@ -391,8 +392,8 @@ class Berg(Entropy):
     smooth = True
 
     def __post_init__(self):
-        if self.rho <= 0:
-            raise DomainError("Berg requires rho > 0")
+        if not 0 < self.rho < _INF:
+            raise DomainError("Berg requires a finite rho > 0")
 
     def phi(self, p):
         p = np.asarray(p, dtype=float)

@@ -28,6 +28,7 @@ too.  The formulas live in that module only.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from typing import List, Optional
 
@@ -90,10 +91,11 @@ class FlowParams:
     solve_max_iter: int = 20000
 
     def __post_init__(self):
-        if self.eta_x < 0 or self.eta_r < 0:
-            raise DomainError("learning rates must be nonnegative")
-        if self.eps <= 0:
-            raise DomainError("eps must be positive")
+        for name in ("eta_x", "eta_r"):
+            if not 0 <= getattr(self, name) < math.inf:
+                raise DomainError(f"{name} must be nonnegative and finite")
+        if not 0 < self.eps < math.inf:
+            raise DomainError("eps must be positive and finite")
         if self.mass_rate not in ("printed", "eta_r"):
             raise DomainError("mass_rate must be 'printed' or 'eta_r'")
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from contextlib import contextmanager
 from dataclasses import dataclass
 
@@ -177,10 +178,10 @@ class CostSpec:
     scale: float = 1.0
 
     def __post_init__(self):
-        if self.power < 1:
-            raise DomainError("cost exponent must be >= 1")
-        if self.scale <= 0:
-            raise DomainError("cost scale must be positive")
+        if not 1 <= self.power < math.inf:
+            raise DomainError("cost power must be finite and >= 1")
+        if not 0 < self.scale < math.inf:
+            raise DomainError("cost scale must be positive and finite")
 
     @classmethod
     def sq_euclidean(cls, scale: float = 1.0) -> "CostSpec":

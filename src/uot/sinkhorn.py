@@ -16,14 +16,16 @@ a 2-core x86 VM: a 200 x 200 block takes 0.5-0.9 ms instead of 34 us, and
 8.5 ms when the results are subnormal).  Each N x M exponent is therefore
 floored at ``_EXP_FLOOR = -700``, just above that threshold, before ``exp``:
 
-- In a max-shifted row (the softmin, the LSE quadratic term of
-  ``divergences``) the maximum contributes ``exp(0) = 1``, so the sum is at
-  least 1.  Entries below ``e^-700 ~ 1e-304``, even all of them together,
-  stay far under half an ulp of that sum, so raising them to ``e^-700``
-  leaves every sum, and every softmin, bit-identical.
-- ``plan_matrix`` is not max-shifted: it sets the entries whose log lies
-  below the floor to exactly 0, so ``implicit_plan`` drops them as it
-  dropped the entries that underflowed to 0.
+- In a max-shifted softmin row the maximum contributes ``exp(0) = 1``, so
+  the sum is at least 1.  Entries below ``e^-700 ~ 1e-304``, even all of
+  them together, stay far under half an ulp of that sum, so raising them
+  to ``e^-700`` leaves every sum, and every softmin, bit-identical.
+- ``plan_matrix``, the one place the plan is exponentiated, is not
+  max-shifted: it sets the entries whose log lies below the floor to
+  exactly 0, so ``implicit_plan`` drops them as it dropped the entries that
+  underflowed to 0.  ``divergences.dual_value`` sums this matrix for the
+  plan mass of the non-smooth entropies; the dropped entries lie far
+  below an ulp of that sum.
 
 The exact softmin (``_softmin_rows``) is the only code that scales a cost
 block: it divides the cost by ``eps`` straight into its kernel buffer, so
@@ -126,8 +128,8 @@ def softmin(eps: float, measure: DiscreteMeasure, values) -> float:
     """Smoothed minimum ``-eps * log <m, exp(-h/eps)>`` of one vector."""
     if measure.is_null:
         raise DomainError("softmin over the null measure is undefined")
-    if eps <= 0:
-        raise DomainError("softmin requires eps > 0")
+    if not 0 < eps < math.inf:
+        raise DomainError("softmin requires a finite eps > 0")
     h = np.asarray(values, dtype=float)
     if h.shape != measure.weights.shape:
         raise DomainError(f"value vector of length {h.shape} over "
@@ -205,14 +207,14 @@ def half_update(eps: float, entropy: Entropy, m_other: DiscreteMeasure,
 
     ``cost_rows[i, j] = C(z_i, w_j)`` with ``z`` the support being updated
     and ``w`` the support of ``m_other``.  Raises ``DomainError`` unless
-    ``eps > 0``, ``pot_other`` and the columns of ``cost_rows`` have one
-    entry per atom of ``m_other``, and ``rho`` is ``None`` or has one entry
-    per cost row.
+    ``eps`` is positive and finite, ``pot_other`` and the columns of
+    ``cost_rows`` have one entry per atom of ``m_other``, and ``rho`` is
+    ``None`` or has one entry per cost row.
     """
     if m_other.is_null:
         raise DomainError("half update against the null measure")
-    if eps <= 0:
-        raise DomainError("eps must be positive")
+    if not 0 < eps < math.inf:
+        raise DomainError("eps must be positive and finite")
     pot_other = np.asarray(pot_other, dtype=float)
     cost_rows = np.asarray(cost_rows, dtype=float)
     if pot_other.shape != m_other.weights.shape:
@@ -251,8 +253,8 @@ class SolveOptions:
     record_history: bool = False
 
     def __post_init__(self):
-        if self.tol <= 0:
-            raise DomainError("tol must be positive")
+        if not 0 < self.tol < math.inf:
+            raise DomainError("tol must be positive and finite")
         if self.max_iter < 1:
             raise DomainError("max_iter must be >= 1")
 
@@ -296,8 +298,8 @@ class DualPotentials:
 
 def _check_entry(alpha, beta, cost, eps):
     """The input checks both solvers share; returns the cost as floats."""
-    if eps <= 0:
-        raise DomainError("eps must be positive")
+    if not 0 < eps < math.inf:
+        raise DomainError("eps must be positive and finite")
     if alpha.is_null or beta.is_null:
         raise DomainError("solve requires non-null measures; null-measure "
                           "values have closed forms in uot.divergences")
@@ -440,19 +442,15 @@ def extrapolate(pots: DualPotentials, side: str, m_other: DiscreteMeasure,
     return half_update(pots.eps, pots.entropy, m_other, pot_other, rows, rho=rho)
 
 
-def _log_plan(pots, alpha, beta, cost):
-    return (alpha.log_weights[:, None] + beta.log_weights[None, :]
-            + (pots.f[:, None] + pots.g[None, :] - np.asarray(cost, dtype=float))
-            / pots.eps)
-
-
 def plan_matrix(pots: DualPotentials, alpha: DiscreteMeasure,
                 beta: DiscreteMeasure, cost: np.ndarray) -> np.ndarray:
     """Implicit transport plan ``pi_ij = a_i b_j exp((f_i + g_j - C_ij)/eps)``.
 
     Entries below ``e^-700`` (about 1e-304) are exactly 0.
     """
-    log_plan = _log_plan(pots, alpha, beta, cost)
+    log_plan = (alpha.log_weights[:, None] + beta.log_weights[None, :]
+                + (pots.f[:, None] + pots.g[None, :]
+                   - np.asarray(cost, dtype=float)) / pots.eps)
     kept = log_plan >= _EXP_FLOOR
     pi = np.exp(np.maximum(log_plan, _EXP_FLOOR, out=log_plan), out=log_plan)
     pi *= kept

@@ -78,6 +78,21 @@ def test_bad_entropy_string_exits_1(dirac_files, capsys):
     assert main(["div", "--entropy", "zorp:rho=1", a, b]) == 1
 
 
+@pytest.mark.parametrize("args,name", [
+    (["--tol", "nan"], "tol"), (["--eps", "nan"], "eps"),
+    (["--eps", "inf"], "eps"), (["--entropy", "kl:rho=nan"], "rho"),
+    (["--entropy", "tv:rho=inf"], "rho"),
+    (["--entropy", "power:rho=1,s=nan"], "finite s"),
+    (["--cost-scale", "nan"], "cost scale"),
+    (["--cost-power", "nan"], "cost power")])
+def test_non_finite_parameters_exit_1_naming_them(dirac_files, capsys, args,
+                                                  name):
+    a, b = dirac_files
+    assert main(["div", *args, a, b]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and name in err
+
+
 def test_grad_schema(dirac_files, capsys):
     a, b = dirac_files
     code = main(["grad", "--entropy", "kl:rho=1", "--eps", "0.5",

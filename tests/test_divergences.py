@@ -8,7 +8,7 @@ from uot import (KL, TV, Balanced, Berg, CostSpec, DiscreteMeasure,
                  UnsupportedEntropyError, dual_value, grad_positions,
                  grad_weights, hausdorff_divergence, ot_eps, plan_matrix,
                  sinkhorn_divergence, sinkhorn_entropy, solve)
-from uot.divergences import quadratic_term, solve_terms
+from uot.divergences import solve_terms
 from uot.sinkhorn import extrapolate
 
 SQ = CostSpec.sq_euclidean()
@@ -74,17 +74,37 @@ def test_ot_eps_is_symmetric_in_its_arguments():
 
 
 def test_quadratic_term_diagnostic_agreement():
-    # the O(NM) LSE evaluation and the pointwise conjugate-derivative form
-    # must agree at convergence
+    # the O(NM) plan mass and the pointwise conjugate-derivative form must
+    # agree at convergence
     rng = np.random.default_rng(31)
     a, b = random_measure(rng, 10), random_measure(rng, 13)
     tol = 1e-11
     for entropy in (KL(1.0), Berg(0.9), Power(1.1, s=0.5)):
         c_ab = SQ.pairwise(a.points, b.points)
         pots, _ = solve(a, b, c_ab, entropy, 0.4, SolveOptions(tol=tol))
-        q_lse = quadratic_term(pots, a, b, c_ab, method="lse")
-        q_conj = quadratic_term(pots, a, b, c_ab, method="conj")
-        assert abs(q_lse - q_conj) <= 10 * tol * (a.total_mass + b.total_mass)
+        q_plan = plan_matrix(pots, a, b, c_ab).sum()
+        q_conj = float(a.weights @ entropy.conj_grad(-pots.f))
+        assert abs(q_plan - q_conj) <= 10 * tol * (a.total_mass + b.total_mass)
+
+
+@pytest.mark.parametrize("g_only", [False, True])
+def test_vector_inits_warm_start_the_cross_solve_only(g_only):
+    # the self solves of S_eps live on one support each: an init vector of
+    # the cross solve does not fit them, so they start cold
+    rng = np.random.default_rng(36)
+    a, b = random_measure(rng, 5), random_measure(rng, 7)
+    entropy, eps = KL(0.8), 0.3
+    pots, _ = solve(a, b, SQ.pairwise(a.points, b.points), entropy, eps)
+    init = (None if g_only else pots.f + 0.01, pots.g - 0.01)
+    warm = SolveOptions(tol=TIGHT.tol, max_iter=TIGHT.max_iter, init=init)
+    cold_value = sinkhorn_divergence(a, b, SQ, entropy, eps, TIGHT).value
+    value = sinkhorn_divergence(a, b, SQ, entropy, eps, warm).value
+    assert abs(value - cold_value) <= 1e-9
+    cold = grad_positions(a, b, SQ, entropy, eps, "s", TIGHT)
+    grads = grad_positions(a, b, SQ, entropy, eps, "s", warm)
+    for side in ("d_points_a", "d_points_b"):
+        assert np.max(np.abs(getattr(grads, side)
+                             - getattr(cold, side))) <= 1e-9
 
 
 def test_kl_value_matches_symmetrized_dual_formula():

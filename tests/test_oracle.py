@@ -141,6 +141,23 @@ def test_duality_gap_random_kl_instance():
     assert abs(gap.gap) <= 1e-6 * (1 + abs(gap.dual))
 
 
+@pytest.mark.parametrize("rho", [0.3, 1.0])
+def test_duality_gap_random_tv_instance(rho):
+    # TV's dual value sums the plan; Range is left out, because at the
+    # solver's output its marginal ratios sit just outside [a, b], where
+    # its primal is inf.  On [0, 3]^2 both potentials have entries strictly
+    # inside (-rho, rho), where the plan's marginals are matched
+    rng = np.random.default_rng(55)
+    a = DiscreteMeasure(rng.uniform(0.5, 1.5, 12), 3 * rng.random((12, 2)))
+    b = DiscreteMeasure(rng.uniform(0.5, 1.5, 15), 3 * rng.random((15, 2)))
+    a, b = a.scaled(1 / a.total_mass), b.scaled(1.4 / b.total_mass)
+    cost = SQ.pairwise(a.points, b.points)
+    pots, report = solve(a, b, cost, TV(rho), 0.2, SolveOptions(tol=1e-12))
+    assert report.converged
+    gap = duality_gap(a, b, cost, TV(rho), 0.2, pots)
+    assert abs(gap.gap) <= 1e-10 * (1 + abs(gap.dual))
+
+
 def test_duality_gap_balanced_reports_marginal_residuals():
     rng = np.random.default_rng(53)
     aw = rng.uniform(0.5, 1.5, 15)

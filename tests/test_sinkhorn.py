@@ -6,10 +6,10 @@ import pytest
 
 import uot.sinkhorn
 from uot import (KL, TV, Balanced, Berg, CostSpec, DiscreteMeasure,
-                 DomainError, DualPotentials, Power, Range, SolveOptions,
+                 DomainError, DualPotentials, FlowParams, Power, Range,
+                 SolveOptions,
                  dual_value, duality_gap, extrapolate, half_update,
                  implicit_plan, plan_matrix, softmin, solve, solve_symmetric)
-from uot.divergences import quadratic_term
 
 SQ = CostSpec.sq_euclidean()
 
@@ -188,6 +188,34 @@ def test_solve_range_infeasible_masses():
     pots, rep = solve(a, b, cost, Range(a=0.5, b=1.5), 1.0)
     assert rep.status == "infeasible"
     assert pots is None
+
+
+NAN, INF = math.nan, math.inf
+ONE = DiscreteMeasure([1.0], [[0.0]])
+
+
+@pytest.mark.parametrize("make,name", [
+    (lambda: SolveOptions(tol=NAN), "tol"),
+    (lambda: SolveOptions(tol=INF), "tol"),
+    (lambda: solve(*dirac_pair(1.0), KL(1.0), NAN), "eps"),
+    (lambda: solve_symmetric(ONE, np.zeros((1, 1)), KL(1.0), INF), "eps"),
+    (lambda: half_update(NAN, KL(1.0), ONE, [0.0], [[1.0]]), "eps"),
+    (lambda: softmin(INF, ONE, [0.0]), "eps"),
+    (lambda: KL(NAN), "rho"), (lambda: KL(INF), "rho"),
+    (lambda: KL(rho_fn=lambda x: np.full(len(x), NAN)).rho_at(ONE.points),
+     "rho"),
+    (lambda: TV(NAN), "rho"), (lambda: TV(INF), "rho"),
+    (lambda: Power(NAN), "rho"), (lambda: Power(1.0, s=NAN), "finite s"),
+    (lambda: Power(1.0, s=-INF), "finite s"), (lambda: Berg(INF), "rho"),
+    (lambda: CostSpec(power=NAN), "cost power"),
+    (lambda: CostSpec(power=INF), "cost power"),
+    (lambda: CostSpec(scale=NAN), "cost scale"),
+    (lambda: FlowParams(eps=NAN), "eps"),
+    (lambda: FlowParams(eta_x=NAN), "eta_x"),
+    (lambda: FlowParams(eta_r=INF), "eta_r")])
+def test_non_finite_parameters_raise_naming_them(make, name):
+    with pytest.raises(DomainError, match=name):
+        make()
 
 
 def test_solve_null_measure_rejected():
@@ -550,13 +578,14 @@ def test_exp_floor_leaves_softmins_bit_identical():
                           entropy.damp(eps, ref))
 
 
-def test_exp_floor_leaves_the_lse_quadratic_term_bit_identical():
+def test_exp_floor_leaves_the_plan_mass_bit_identical():
+    # the plan mass is the entropic term of dual_value for TV, Range and
+    # Balanced
     a, b, cost, pots = underflow_instance()
-    log_terms = unfloored_log_plan(pots, a, b, cost)
-    mx = float(np.max(log_terms))
-    assert_underflows(log_terms - mx)
-    ref = math.exp(mx) * float(np.sum(np.exp(log_terms - mx)))
-    assert quadratic_term(pots, a, b, cost, method="lse") == ref
+    log_plan = unfloored_log_plan(pots, a, b, cost)
+    assert_underflows(log_plan)
+    ref = np.sum(np.exp(log_plan))
+    assert np.sum(plan_matrix(pots, a, b, cost)) == ref
 
 
 def test_plan_entries_below_the_exp_floor_are_zero():
@@ -751,7 +780,7 @@ def test_kl_translation_maximizes_the_dual_along_the_mass_shift():
         shifted = DualPotentials(pots.f + t, pots.g - t, eps, KL(rho))
         return (-a.weights @ KL(rho).conj(-shifted.f)
                 - b.weights @ KL(rho).conj(-shifted.g)
-                - eps * quadratic_term(shifted, a, b, cost, method="lse"))
+                - eps * plan_matrix(shifted, a, b, cost).sum())
 
     h = 1e-4
     assert abs(dual(h) - dual(-h)) / (2 * h) <= 1e-11
