@@ -7,9 +7,9 @@ import pytest
 import uot.sinkhorn
 from uot import (KL, TV, Balanced, Berg, CostSpec, DiscreteMeasure,
                  DomainError, DualPotentials, FlowParams, Power, Range,
-                 SolveOptions,
-                 dual_value, duality_gap, extrapolate, half_update,
-                 implicit_plan, plan_matrix, softmin, solve, solve_symmetric)
+                 SolveOptions, dual_value, duality_gap, extrapolate,
+                 half_update, implicit_plan, plan_matrix, softmin, solve,
+                 solve_symmetric)
 
 SQ = CostSpec.sq_euclidean()
 
