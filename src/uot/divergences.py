@@ -29,8 +29,8 @@ from .entropies import Entropy, _with_rho
 from .errors import DomainError, UnsupportedEntropyError
 from .measures import CostSpec, DiscreteMeasure
 from .sinkhorn import (CONVERGED, INFEASIBLE, DualPotentials, SolveOptions,
-                       SolveReport, extrapolate, plan_matrix, solve,
-                       symmetric_potentials)
+                       SolveReport, _check_eps, extrapolate, plan_matrix,
+                       solve, symmetric_potentials)
 
 _INF = math.inf
 
@@ -88,6 +88,22 @@ def _worst_report(*reports) -> SolveReport:
                        max(r.final_update for r in reports))
 
 
+@dataclass(frozen=True)
+class _Buffers:
+    """The arrays a term writes into instead of allocating them: its cost,
+    its half-update kernels (``(g, f)`` for a cross solve, one for a
+    symmetric solve), its plan and the cost gradient tensor of its side
+    ``"a"``.  ``None`` entries are allocated on use."""
+
+    cost: Optional[np.ndarray] = None
+    kernels: tuple = (None, None)
+    plan: Optional[np.ndarray] = None
+    grad: Optional[np.ndarray] = None
+
+
+_FRESH = _Buffers()
+
+
 @dataclass
 class _Term:
     """``OT_eps(alpha, beta)`` and its solve.  Null measures and infeasible
@@ -100,6 +116,7 @@ class _Term:
     pots: Optional[DualPotentials] = None
     cost: Optional[np.ndarray] = None
     closed_form: float = 0.0
+    buffers: _Buffers = _FRESH
 
     @cached_property
     def ot(self) -> float:
@@ -112,7 +129,8 @@ class _Term:
         if self.pots is None:
             raise DomainError("gradients need non-null measures and a "
                               "feasible instance")
-        return plan_matrix(self.pots, self.alpha, self.beta, self.cost)
+        return plan_matrix(self.pots, self.alpha, self.beta, self.cost,
+                           out=self.buffers.plan)
 
     def oriented(self, side):
         """Potential, own and other measure, and the plan with the own
@@ -122,9 +140,12 @@ class _Term:
         return self.pots.g, self.beta, self.alpha, self.plan.T
 
 
-def _term(alpha, beta, cost, entropy, eps, opts, symmetric=False) -> _Term:
+def _term(alpha, beta, cost, entropy, eps, opts, symmetric=False,
+          buffers=_FRESH) -> _Term:
     """``OT_eps(alpha, beta)``; ``symmetric`` solves ``OT_eps(alpha, alpha)``
-    for its single potential (``beta`` is ``alpha``)."""
+    for its single potential (``beta`` is ``alpha``).  Its arrays go into
+    ``buffers``."""
+    _check_eps(eps)
     if alpha.is_null and beta.is_null:
         return _Term(alpha, beta, SolveReport(CONVERGED, 0, 0.0))
     if not entropy.feasible(alpha.total_mass, beta.total_mass):
@@ -138,12 +159,14 @@ def _term(alpha, beta, cost, entropy, eps, opts, symmetric=False) -> _Term:
                  else float(other.weights @ rho))
         return _Term(alpha, beta, SolveReport(CONVERGED, 0, 0.0),
                      closed_form=value)
-    c_matrix = cost.pairwise(alpha.points, beta.points)
+    c_matrix = cost.pairwise(alpha.points, beta.points, out=buffers.cost)
     if symmetric:
-        pots, report = symmetric_potentials(alpha, c_matrix, entropy, eps, opts)
+        pots, report = symmetric_potentials(alpha, c_matrix, entropy, eps, opts,
+                                            kernel=buffers.kernels[0])
     else:
-        pots, report = solve(alpha, beta, c_matrix, entropy, eps, opts)
-    return _Term(alpha, beta, report, pots, c_matrix)
+        pots, report = solve(alpha, beta, c_matrix, entropy, eps, opts,
+                             kernels=buffers.kernels)
+    return _Term(alpha, beta, report, pots, c_matrix, buffers=buffers)
 
 
 def _entropy_value(term, entropy, eps) -> float:
@@ -172,7 +195,8 @@ def _ot_weight_grad(term, side) -> np.ndarray:
 def _ot_position_grad(term, side, cost) -> np.ndarray:
     """Envelope gradient through the cost: ``sum_j pi_ij grad_x C(x_i, y_j)``."""
     _, own, other, plan = term.oriented(side)
-    grad = cost.grad_x(own.points, other.points)
+    out = term.buffers.grad if side == "a" else None
+    grad = cost.grad_x(own.points, other.points, out=out)
     # one contraction per coordinate: einsum's "ij,ijk->ik" is 2-3x slower
     return np.stack([np.einsum("ij,ij->i", plan, grad[:, :, k])
                      for k in range(grad.shape[2])], axis=1)
@@ -317,6 +341,7 @@ def hausdorff_divergence(alpha: DiscreteMeasure, beta: DiscreteMeasure,
         raise DomainError("Hausdorff divergence requires non-null measures")
     if alpha is beta:
         return DivergenceValue(0.0, None, SolveReport(CONVERGED, 0, 0.0))
+    opts = _self_opts(opts)
     term_a = _term(alpha, alpha, cost, entropy, eps, opts, symmetric=True)
     term_b = _term(beta, beta, cost, entropy, eps, opts, symmetric=True)
     pots_a, pots_b = term_a.pots, term_b.pots

@@ -22,8 +22,19 @@ restarts from its previous ``f``.
 
 Each step builds the solve bundle of :mod:`uot.divergences` and reads the
 gradients from it; snapshots add the target's self term, solved once per
-run, and read ``S_eps`` and the worst report of the bundle's solves from it
-too.  The formulas live in that module only.
+run, and read ``S_eps`` from it too.  The formulas live in that module only.
+A snapshot's report is the worst report of every solve since the previous
+snapshot, the steps between included, so no ``max_iter`` stop goes unseen.
+
+The particle count is fixed within a flow, so the flow's workspace
+allocates every N x M array of a step once: the cross and self costs, the
+three half-update kernels, the two plans and one N x M x d cost gradient
+tensor, which the cross and self contractions use in turn.  The costs,
+kernels, plans and gradients of each step are written into them.  Freshly
+allocated, those arrays went back to the operating system after every
+step and were paged in again on the next: about 500 minor page faults a
+step on criterion 12's flows (a 2-core x86 VM, numpy 2.4, glibc), against
+under 10 with the workspace.
 """
 
 from __future__ import annotations
@@ -34,7 +45,7 @@ from typing import List, Optional
 
 import numpy as np
 
-from .divergences import _Solved, _term
+from .divergences import _Buffers, _Solved, _term, _worst_report
 from .entropies import Balanced, Entropy, KL
 from .errors import DomainError
 from .measures import CostSpec, DiscreteMeasure
@@ -48,7 +59,8 @@ class FlowState:
     positions: np.ndarray
     r: np.ndarray
     step: int = 0
-    # filled on snapshots: S_eps and the worst report of its three solves
+    # filled on snapshots: S_eps, and the worst report of every solve since
+    # the previous snapshot
     s_eps: Optional[float] = None
     report: Optional[SolveReport] = None
 
@@ -111,7 +123,9 @@ _EXP_CLIP = 200.0
 
 class _FlowWorkspace:
     """Per-run cache: the warm starts, with the target potentials of the
-    last two flow steps solved, keyed by step (see the module docstring)."""
+    last two flow steps solved, keyed by step; the reports of the solves
+    since the last snapshot; and the N x M arrays of a step, allocated on
+    the first solve (see the module docstring)."""
 
     def __init__(self, target: DiscreteMeasure, cost: CostSpec, params: FlowParams):
         self.target = target
@@ -119,6 +133,22 @@ class _FlowWorkspace:
         self.params = params
         self.warm_aa = "asymptotic"
         self.g_at = {}
+        self.reports = []
+        self.buffers = None
+
+    def _step_buffers(self, alpha):
+        """The cross and self terms' buffers, sized on the first call for
+        ``alpha``'s particle count, which a flow does not change."""
+        if self.buffers is None:
+            n, m, d = len(alpha), len(self.target), alpha.dim
+            # one gradient tensor: the self contraction runs after the cross
+            grad = np.empty(n * max(n, m) * d)
+            self.buffers = (
+                _Buffers(np.empty((n, m)), (np.empty((m, n)), np.empty((n, m))),
+                         np.empty((n, m)), grad[:n * m * d].reshape(n, m, d)),
+                _Buffers(np.empty((n, n)), (np.empty((n, n)),),
+                         np.empty((n, n)), grad[:n * n * d].reshape(n, n, d)))
+        return self.buffers
 
     def _opts(self, init):
         return SolveOptions(tol=self.params.solve_tol,
@@ -135,14 +165,22 @@ class _FlowWorkspace:
               target_term=None) -> _Solved:
         """The S_eps bundle at ``alpha``, the particles at flow step
         ``step``, warm-started from the last ones; only its value needs
-        ``target_term``."""
+        ``target_term``.
+
+        The bundle's costs, plans and gradient tensors are the workspace's
+        buffers, so it is valid only until the next call, which overwrites
+        them: copy what outlives it.
+        """
         p = self.params
+        cross_buffers, self_buffers = self._step_buffers(alpha)
         cross = _term(alpha, self.target, self.cost, p.entropy, p.eps,
-                      self._opts(self._cross_init(step)))
+                      self._opts(self._cross_init(step)), buffers=cross_buffers)
         if cross.pots is None:
             raise DomainError("flow hit an infeasible configuration")
         self_a = _term(alpha, alpha, self.cost, p.entropy, p.eps,
-                       self._opts(self.warm_aa), symmetric=True)
+                       self._opts(self.warm_aa), symmetric=True,
+                       buffers=self_buffers)
+        self.reports += [cross.report, self_a.report]
         self.warm_aa = self_a.pots.f
         self.g_at = {k: g for k, g in self.g_at.items() if k == step - 1}
         self.g_at[step] = cross.pots.g
@@ -172,20 +210,23 @@ def run_flow(init: FlowState, target: DiscreteMeasure, cost: CostSpec,
 
     Snapshots (including the initial and final states) carry the current
     divergence value in ``s_eps`` and, in ``report``, the worst report of
-    the solves behind it: a ``max_iter`` stop inside the flow shows there.
+    every solve since the previous snapshot, the target's self solve in
+    the first: a ``max_iter`` stop anywhere in the flow shows there.
     """
     if snapshot_every < 1:
         raise DomainError("snapshot_every must be >= 1")
     workspace = _FlowWorkspace(target, cost, params)
     target_term = _term(target, target, cost, params.entropy, params.eps,
                         workspace._opts("asymptotic"), symmetric=True)
+    workspace.reports.append(target_term.report)
 
     def snapshot(state: FlowState) -> FlowState:
         value = workspace.solve(state.measure(), state.step,
                                 target_term).value()
+        report = _worst_report(*workspace.reports)
+        workspace.reports.clear()
         return replace(state, positions=state.positions.copy(),
-                       r=state.r.copy(), s_eps=value.value,
-                       report=value.report)
+                       r=state.r.copy(), s_eps=value.value, report=report)
 
     trajectory = [snapshot(init)]
     state = init

@@ -13,6 +13,7 @@ import json
 import math
 from contextlib import contextmanager
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -154,6 +155,19 @@ def load_measure(path) -> DiscreteMeasure:
     return DiscreteMeasure.load_json(path)
 
 
+def _out_array(out, shape):
+    """``out`` after checking that it is a writable float array of
+    ``shape``, or a new array if it is ``None``."""
+    if out is None:
+        return np.empty(shape)
+    if not (isinstance(out, np.ndarray) and out.shape == shape
+            and out.dtype == np.float64 and out.flags.writeable):
+        got = getattr(out, "shape", type(out).__name__)
+        raise DomainError(f"an output buffer must be a writable float "
+                          f"array of shape {shape}, got {got}")
+    return out
+
+
 def _point_pair(xs, ys):
     """Both point arrays as ``(n, d)``; their dimensions must agree unless
     one of them is empty."""
@@ -191,35 +205,45 @@ class CostSpec:
     def euclidean_pow(cls, power: float, scale: float = 1.0) -> "CostSpec":
         return cls(power=power, scale=scale)
 
-    def pairwise(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-        """Dense N x M cost matrix between two point arrays.
+    def pairwise(self, xs: np.ndarray, ys: np.ndarray,
+                 out: Optional[np.ndarray] = None) -> np.ndarray:
+        """Dense N x M cost matrix between two point arrays, written into
+        ``out`` if given: a float array of that shape that aliases neither
+        point array.
 
-        The squared distance is summed one coordinate at a time, so no
-        N x M x d tensor is built.  For d <= 2 the result is bit-identical
-        to summing the squared differences over the last axis of that
-        tensor; for d >= 3 it is within one ulp.
+        The squared distance starts from the first coordinate's square and
+        adds the others one at a time, so no N x M x d tensor is built.
+        ``0 + x`` is exact, so for every d the result is bit-identical to a
+        sum started from zero.  For d <= 2 it is also bit-identical to
+        summing the squared differences over the last axis of that tensor;
+        for d >= 3 it is within one ulp.
         """
         xs, ys = _point_pair(xs, ys)
-        sq = np.zeros((len(xs), len(ys)))
+        sq = _out_array(out, (len(xs), len(ys)))
         if sq.size == 0:
             return sq
-        for k in range(xs.shape[1]):
+        np.subtract.outer(xs[:, 0], ys[:, 0], out=sq)
+        sq *= sq
+        for k in range(1, xs.shape[1]):
             dk = np.subtract.outer(xs[:, k], ys[:, k])
             dk *= dk
             sq += dk
-        if self.power == 2.0:
-            sq *= self.scale
-            return sq
-        return self.scale * np.sqrt(sq) ** self.power
+        if self.power != 2.0:
+            np.sqrt(sq, out=sq)
+            sq **= self.power
+        sq *= self.scale
+        return sq
 
-    def grad_x(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-        """Gradient of C(x_i, y_j) in its first argument, shape (N, M, d).
+    def grad_x(self, xs: np.ndarray, ys: np.ndarray,
+               out: Optional[np.ndarray] = None) -> np.ndarray:
+        """Gradient of C(x_i, y_j) in its first argument, shape (N, M, d),
+        written into ``out`` if given, as in :meth:`pairwise`.
 
         Costs with ``power < 2`` are not differentiable at coincident
         points; hitting one raises :class:`DomainError`.
         """
         xs, ys = _point_pair(xs, ys)
-        diff = np.empty((len(xs), len(ys), xs.shape[1]))
+        diff = _out_array(out, (len(xs), len(ys), xs.shape[1]))
         if diff.size == 0:
             return diff
         # one coordinate at a time: broadcasting over a length-d last axis

@@ -114,7 +114,7 @@ import numpy as np
 
 from .entropies import KL, Entropy, _with_rho, parse_entropy
 from .errors import DomainError
-from .measures import CostSpec, DiscreteMeasure
+from .measures import CostSpec, DiscreteMeasure, _out_array
 
 CONVERGED = "converged"
 MAX_ITER = "max_iter"
@@ -128,8 +128,7 @@ def softmin(eps: float, measure: DiscreteMeasure, values) -> float:
     """Smoothed minimum ``-eps * log <m, exp(-h/eps)>`` of one vector."""
     if measure.is_null:
         raise DomainError("softmin over the null measure is undefined")
-    if not 0 < eps < math.inf:
-        raise DomainError("softmin requires a finite eps > 0")
+    _check_eps(eps)
     h = np.asarray(values, dtype=float)
     if h.shape != measure.weights.shape:
         raise DomainError(f"value vector of length {h.shape} over "
@@ -155,14 +154,14 @@ def _softmin_rows(eps, log_w, pot, cost, out=None):
     return -eps * (mx + np.log(np.add.reduce(tmp, axis=1))), mx
 
 
-def _half_map(eps, entropy, log_w, cost, rho):
+def _half_map(eps, entropy, log_w, cost, rho, kernel=None):
     """One damped half-update as a map ``pot -> new pot``.
 
-    Keeps the kernel of its last exact softmin in one N x M buffer and
-    reuses it while the potential's drift ``d`` spans less than
-    ``_KERNEL_DRIFT`` (see the module docstring).
+    Keeps the kernel of its last exact softmin in one N x M buffer,
+    ``kernel`` if given, and reuses it while the potential's drift ``d``
+    spans less than ``_KERNEL_DRIFT`` (see the module docstring).
     """
-    kernel = np.empty(cost.shape)
+    kernel = _out_array(kernel, cost.shape)
     ref = mx = None
 
     def half(pot):
@@ -213,8 +212,7 @@ def half_update(eps: float, entropy: Entropy, m_other: DiscreteMeasure,
     """
     if m_other.is_null:
         raise DomainError("half update against the null measure")
-    if not 0 < eps < math.inf:
-        raise DomainError("eps must be positive and finite")
+    _check_eps(eps)
     pot_other = np.asarray(pot_other, dtype=float)
     cost_rows = np.asarray(cost_rows, dtype=float)
     if pot_other.shape != m_other.weights.shape:
@@ -296,10 +294,14 @@ class DualPotentials:
                    float(data["eps"]), parse_entropy(data["entropy"]))
 
 
-def _check_entry(alpha, beta, cost, eps):
-    """The input checks both solvers share; returns the cost as floats."""
+def _check_eps(eps):
     if not 0 < eps < math.inf:
         raise DomainError("eps must be positive and finite")
+
+
+def _check_entry(alpha, beta, cost, eps):
+    """The input checks both solvers share; returns the cost as floats."""
+    _check_eps(eps)
     if alpha.is_null or beta.is_null:
         raise DomainError("solve requires non-null measures; null-measure "
                           "values have closed forms in uot.divergences")
@@ -349,7 +351,7 @@ def _iterate(sweep, state, opts):
 
 def solve(alpha: DiscreteMeasure, beta: DiscreteMeasure, cost: np.ndarray,
           entropy: Entropy, eps: float,
-          opts: Optional[SolveOptions] = None):
+          opts: Optional[SolveOptions] = None, *, kernels=None):
     """Run the generalized Sinkhorn loop on a materialized cost matrix.
 
     Returns ``(DualPotentials | None, SolveReport)``; the potentials are
@@ -357,6 +359,11 @@ def solve(alpha: DiscreteMeasure, beta: DiscreteMeasure, cost: np.ndarray,
     g-then-f order; the loop stops when ``max(|df|, |dg|)`` drops below
     ``opts.tol`` (measured in the sup norm) or after ``opts.max_iter``
     full sweeps.  A ``(None, g)`` init starts from ``f = half_f(g)``.
+
+    ``kernels``, if given, is a pair of float arrays of shapes ``(M, N)``
+    and ``(N, M)``, for ``N`` atoms in ``alpha`` and ``M`` in ``beta``,
+    that the g and f half-updates keep their kernels in instead of
+    allocating them; neither may alias ``cost``.
     """
     opts = opts or SolveOptions()
     cost = _check_entry(alpha, beta, cost, eps)
@@ -367,8 +374,9 @@ def solve(alpha: DiscreteMeasure, beta: DiscreteMeasure, cost: np.ndarray,
     log_a, log_b = alpha.log_weights, beta.log_weights
     # the g side reads the transposed view only when it rebuilds its kernel,
     # which it writes into its own contiguous buffer
-    half_g = _half_map(eps, entropy, log_a, cost.T, rho_b)
-    half_f = _half_map(eps, entropy, log_b, cost, rho_a)
+    kernel_g, kernel_f = (None, None) if kernels is None else kernels
+    half_g = _half_map(eps, entropy, log_a, cost.T, rho_b, kernel_g)
+    half_f = _half_map(eps, entropy, log_b, cost, rho_a, kernel_f)
     translate = (_kl_translation(entropy.rho, alpha, beta)
                  if isinstance(entropy, KL) and rho_a is None else None)
 
@@ -388,18 +396,21 @@ def solve(alpha: DiscreteMeasure, beta: DiscreteMeasure, cost: np.ndarray,
 
 
 def solve_symmetric(alpha: DiscreteMeasure, cost: np.ndarray, entropy: Entropy,
-                    eps: float, opts: Optional[SolveOptions] = None):
+                    eps: float, opts: Optional[SolveOptions] = None, *,
+                    kernel=None):
     """Solve the symmetric problem OT(alpha, alpha) for its single potential.
 
     Iterates the averaged map ``f <- (f + T_alpha(f)) / 2``; plain iteration
     of ``T_alpha`` can two-cycle for the balanced constraint.  The returned
     vector satisfies ``f = T_alpha(f)`` to within ``opts.tol``.  A provided
     ``opts.init`` is the potential vector, or an (f, g) pair whose f is used.
+    ``kernel``, if given, is an N x N float array, not aliasing ``cost``,
+    that the half-update keeps its kernel in, as in :func:`solve`.
     """
     opts = opts or SolveOptions()
     cost = _check_entry(alpha, alpha, cost, eps)
     rho_a, log_a = entropy.rho_at(alpha.points), alpha.log_weights
-    half = _half_map(eps, entropy, log_a, cost, rho_a)
+    half = _half_map(eps, entropy, log_a, cost, rho_a, kernel)
 
     def sweep(f):
         tf = half(f)
@@ -412,9 +423,10 @@ def solve_symmetric(alpha: DiscreteMeasure, cost: np.ndarray, entropy: Entropy,
 
 def symmetric_potentials(alpha: DiscreteMeasure, cost: np.ndarray,
                          entropy: Entropy, eps: float,
-                         opts: Optional[SolveOptions] = None):
+                         opts: Optional[SolveOptions] = None, *, kernel=None):
     """Wrap the symmetric potential as a (f, f) dual pair."""
-    f, report = solve_symmetric(alpha, cost, entropy, eps, opts)
+    f, report = solve_symmetric(alpha, cost, entropy, eps, opts,
+                                kernel=kernel)
     return DualPotentials(f, f.copy(), eps, entropy), report
 
 
@@ -443,17 +455,25 @@ def extrapolate(pots: DualPotentials, side: str, m_other: DiscreteMeasure,
 
 
 def plan_matrix(pots: DualPotentials, alpha: DiscreteMeasure,
-                beta: DiscreteMeasure, cost: np.ndarray) -> np.ndarray:
-    """Implicit transport plan ``pi_ij = a_i b_j exp((f_i + g_j - C_ij)/eps)``.
+                beta: DiscreteMeasure, cost: np.ndarray,
+                out: Optional[np.ndarray] = None) -> np.ndarray:
+    """Implicit transport plan ``pi_ij = a_i b_j exp((f_i + g_j - C_ij)/eps)``,
+    written into ``out`` if given: an N x M float array that aliases no
+    input.
 
     Entries below ``e^-700`` (about 1e-304) are exactly 0.
     """
-    log_plan = (alpha.log_weights[:, None] + beta.log_weights[None, :]
-                + (pots.f[:, None] + pots.g[None, :]
-                   - np.asarray(cost, dtype=float)) / pots.eps)
-    kept = log_plan >= _EXP_FLOOR
-    pi = np.exp(np.maximum(log_plan, _EXP_FLOOR, out=log_plan), out=log_plan)
-    pi *= kept
+    pi = _out_array(out, (len(alpha), len(beta)))
+    # rounded as (log a (+) log b) + (f (+) g - C) / eps: the log weights
+    # are one outer sum, added last
+    np.add.outer(pots.f, pots.g, out=pi)
+    pi -= np.asarray(cost, dtype=float)
+    pi /= pots.eps
+    pi += np.add.outer(alpha.log_weights, beta.log_weights)
+    below = pi < _EXP_FLOOR
+    np.maximum(pi, _EXP_FLOOR, out=pi)
+    np.exp(pi, out=pi)
+    np.copyto(pi, 0.0, where=below)
     return pi
 
 

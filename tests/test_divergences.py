@@ -247,6 +247,20 @@ def test_hausdorff_unsupported_for_nonsmooth():
             hausdorff_divergence(a, b, SQ, entropy, 1.0)
 
 
+@pytest.mark.parametrize("pair", ["f_g", "none_g"])
+def test_hausdorff_self_solves_start_from_the_asymptotic_init(pair):
+    # a vector init lives on the supports of a cross problem, which this
+    # divergence does not solve; its two self solves start as solve_terms'
+    rng = np.random.default_rng(40)
+    a, b = random_measure(rng, 5), random_measure(rng, 7)
+    f = None if pair == "none_g" else np.zeros(5)
+    opts = SolveOptions(tol=1e-10, init=(f, np.zeros(7)))
+    ref = hausdorff_divergence(a, b, SQ, KL(1.0), 0.2, SolveOptions(tol=1e-10))
+    got = hausdorff_divergence(a, b, SQ, KL(1.0), 0.2, opts)
+    assert got.value == ref.value
+    assert got.report.iterations == ref.report.iterations
+
+
 def test_hausdorff_kl_closed_form():
     # (rho + eps) <a - b, e^{-f_a/rho} - e^{-g_b/rho}> with the symmetric
     # potentials extended across supports

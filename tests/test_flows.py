@@ -7,6 +7,7 @@ import uot.divergences
 from uot import (KL, TV, Balanced, CostSpec, DiscreteMeasure, DomainError,
                  FlowParams, FlowState, SolveOptions, flow_step, run_flow,
                  sinkhorn_divergence)
+from uot.flows import _FlowWorkspace
 
 SQ = CostSpec.sq_euclidean()
 
@@ -248,3 +249,72 @@ def test_snapshots_report_their_solves():
     params = replace(params, solve_max_iter=3)
     for snap in run_flow(state, target, SQ, params, snapshot_every=2):
         assert snap.report.status == "max_iter"
+
+
+def recorded_reports(monkeypatch, cut=()):
+    """The report of every cross and self solve run through
+    ``uot.divergences``, in order; the cross solves numbered in ``cut``
+    report a ``max_iter`` stop instead."""
+    reports, cross_calls = [], []
+
+    def recording(inner, cross):
+        def recorded(*args, **kwargs):
+            pots, report = inner(*args, **kwargs)
+            if cross:
+                if len(cross_calls) in cut:
+                    report = replace(report, status="max_iter")
+                cross_calls.append(report)
+            reports.append(report)
+            return pots, report
+        return recorded
+
+    for name, cross in (("solve", True), ("symmetric_potentials", False)):
+        monkeypatch.setattr(uot.divergences, name,
+                            recording(getattr(uot.divergences, name), cross))
+    return reports
+
+
+def test_snapshots_report_every_solve_since_the_last_one(monkeypatch):
+    reports = recorded_reports(monkeypatch)
+    state, target = two_clouds(76, 10)
+    params = FlowParams(eta_x=3.0, eps=1e-2, entropy=KL(0.1), steps=5,
+                        solve_tol=1e-6, mass_rate="eta_r")
+    traj = run_flow(state, target, SQ, params, snapshot_every=2)
+    assert [snap.step for snap in traj] == [0, 2, 4, 5]
+    # the target's self solve, then a cross and a self solve per snapshot
+    # and per step
+    sizes = [1 + 2, 2 * 2 + 2, 2 * 2 + 2, 2 + 2]
+    assert sum(sizes) == len(reports)
+    ends = np.cumsum(sizes)
+    for snap, end, size in zip(traj, ends, sizes):
+        since = reports[end - size:end]
+        assert snap.report.converged
+        assert snap.report.iterations == sum(r.iterations for r in since)
+        assert snap.report.final_update == max(r.final_update for r in since)
+
+
+def test_a_stop_between_snapshots_shows_in_the_next_one(monkeypatch):
+    # cross solves: snapshot 0, steps 0 and 1, snapshot 2, steps 2 and 3,
+    # snapshot 4; the one of step 2 is cut
+    recorded_reports(monkeypatch, cut=(4,))
+    state, target = two_clouds(77, 10)
+    params = FlowParams(eta_x=3.0, eps=1e-2, entropy=KL(0.1), steps=4,
+                        solve_tol=1e-6, mass_rate="eta_r")
+    traj = run_flow(state, target, SQ, params, snapshot_every=2)
+    assert [snap.report.status for snap in traj] == [
+        "converged", "converged", "max_iter"]
+
+
+def test_flow_steps_reuse_the_workspace_buffers(traced_peak):
+    # the costs, kernels, plans and gradient tensor of a step are written
+    # into the workspace's buffers, allocated by the first step; what is
+    # left are temporaries, one N x M array at a time
+    n = 200
+    state, target = two_clouds(75, n)
+    params = FlowParams(eps=1e-3, entropy=KL(0.1), solve_tol=1e-6,
+                        solve_max_iter=2000, mass_rate="eta_r")
+    workspace = _FlowWorkspace(target, SQ, params)
+    state = flow_step(state, target, SQ, params, workspace)
+    peak = traced_peak(lambda: flow_step(state, target, SQ, params,
+                                         workspace))
+    assert peak < 2 * n * n * 8

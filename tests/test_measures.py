@@ -70,25 +70,46 @@ def tensor_sq_distances(xs, ys):
     return np.einsum("ijk,ijk->ij", diff, diff)
 
 
+def zero_start_sq_distances(xs, ys):
+    """Squared distances summed one coordinate at a time from zero."""
+    sq = np.zeros((len(xs), len(ys)))
+    for k in range(xs.shape[1]):
+        sq += np.subtract.outer(xs[:, k], ys[:, k]) ** 2
+    return sq
+
+
+def powered(spec, sq):
+    """The cost from squared distances."""
+    if spec.power == 2.0:
+        return spec.scale * sq
+    return spec.scale * np.sqrt(sq) ** spec.power
+
+
 @pytest.mark.parametrize("d", [1, 2, 3])
 def test_cost_matches_the_tensor_formula(d):
     rng = np.random.default_rng(30 + d)
     xs, ys = rng.standard_normal((64, d)), rng.standard_normal((45, d))
     diff = xs[:, None, :] - ys[None, :, :]
     sq = tensor_sq_distances(xs, ys)
-    for spec in (CostSpec.sq_euclidean(0.5), CostSpec.euclidean_pow(1.5, 2.0),
+    zero_start = zero_start_sq_distances(xs, ys)
+    for spec in (CostSpec.sq_euclidean(0.5), CostSpec.euclidean_pow(1.0),
+                 CostSpec.euclidean_pow(1.5, 2.0),
                  CostSpec.euclidean_pow(3.0, 0.5)):
-        if spec.power == 2.0:
-            ref, ref_grad = spec.scale * sq, 2.0 * spec.scale * diff
-        else:
-            ref = spec.scale * np.sqrt(sq) ** spec.power
-            ref_grad = ((spec.scale * spec.power)
-                        * (np.sqrt(sq) ** (spec.power - 2.0))[:, :, None] * diff)
+        ref = powered(spec, sq)
+        ref_grad = (2.0 * spec.scale * diff if spec.power == 2.0 else
+                    (spec.scale * spec.power)
+                    * (np.sqrt(sq) ** (spec.power - 2.0))[:, :, None] * diff)
         got = spec.pairwise(xs, ys)
         if d <= 2:
             assert np.array_equal(got, ref)
         else:
             assert np.max(np.abs(got - ref) / ref) <= 1e-15
+        # for every d, bit-identical to the sum started from zero, and the
+        # same when written into a buffer
+        assert np.array_equal(got, powered(spec, zero_start))
+        out = np.full(got.shape, np.nan)
+        assert spec.pairwise(xs, ys, out=out) is out
+        assert np.array_equal(out, got)
         got_grad = spec.grad_x(xs, ys)
         if d <= 2 or spec.power == 2.0:
             assert np.array_equal(got_grad, ref_grad)
@@ -96,7 +117,24 @@ def test_cost_matches_the_tensor_formula(d):
             # the per-coordinate squared norm is within one ulp of einsum's
             assert np.all(np.abs(got_grad - ref_grad)
                           <= 1e-15 * np.abs(ref_grad))
+        out = np.full(got_grad.shape, np.nan)
+        assert spec.grad_x(xs, ys, out=out) is out
+        assert np.array_equal(out, got_grad)
         assert np.all(np.diag(spec.pairwise(xs, xs)) == 0.0)
+
+
+def test_cost_out_of_the_wrong_shape_raises():
+    xs, ys = np.zeros((3, 2)), np.ones((4, 2))
+    read_only = np.empty((3, 4))
+    read_only.setflags(write=False)
+    spec = CostSpec()
+    for bad in (np.empty((4, 3)), np.empty((3, 4), dtype=np.float32),
+                read_only, [[0.0] * 4] * 3):
+        with pytest.raises(DomainError, match="output buffer"):
+            spec.pairwise(xs, ys, out=bad)
+    for bad in (np.empty((3, 4)), np.empty((4, 3, 2))):
+        with pytest.raises(DomainError, match="output buffer"):
+            spec.grad_x(xs, ys, out=bad)
 
 
 def test_cost_null_supports():

@@ -1,5 +1,4 @@
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,7 +7,8 @@ import uot.sinkhorn
 from uot import (KL, TV, Balanced, Berg, CostSpec, DiscreteMeasure,
                  DomainError, DualPotentials, FlowParams, Power, Range,
                  SolveOptions, dual_value, duality_gap, extrapolate,
-                 half_update, implicit_plan, plan_matrix, softmin, solve,
+                 half_update, implicit_plan, ot_eps, plan_matrix,
+                 sinkhorn_divergence, sinkhorn_entropy, softmin, solve,
                  solve_symmetric)
 
 SQ = CostSpec.sq_euclidean()
@@ -192,6 +192,7 @@ def test_solve_range_infeasible_masses():
 
 NAN, INF = math.nan, math.inf
 ONE = DiscreteMeasure([1.0], [[0.0]])
+NULL = DiscreteMeasure([], [])
 
 
 @pytest.mark.parametrize("make,name", [
@@ -201,6 +202,11 @@ ONE = DiscreteMeasure([1.0], [[0.0]])
     (lambda: solve_symmetric(ONE, np.zeros((1, 1)), KL(1.0), INF), "eps"),
     (lambda: half_update(NAN, KL(1.0), ONE, [0.0], [[1.0]]), "eps"),
     (lambda: softmin(INF, ONE, [0.0]), "eps"),
+    # null measures have closed forms, which are not read before eps is
+    # checked
+    (lambda: ot_eps(NULL, ONE, SQ, KL(1.0), NAN), "eps"),
+    (lambda: sinkhorn_divergence(NULL, NULL, SQ, KL(1.0), NAN), "eps"),
+    (lambda: sinkhorn_entropy(NULL, SQ, KL(1.0), INF), "eps"),
     (lambda: KL(NAN), "rho"), (lambda: KL(INF), "rho"),
     (lambda: KL(rho_fn=lambda x: np.full(len(x), NAN)).rho_at(ONE.points),
      "rho"),
@@ -597,9 +603,22 @@ def test_plan_entries_below_the_exp_floor_are_zero():
     pi = plan_matrix(pots, a, b, cost)
     assert np.array_equal(pi[kept], np.exp(log_plan[kept]))
     assert np.all(pi[~kept] == 0.0)
+    out = np.full(cost.shape, np.nan)
+    assert plan_matrix(pots, a, b, cost, out=out) is out
+    assert np.array_equal(out, pi)
     ref = np.where(kept, np.exp(log_plan), 0.0)
     plan = implicit_plan(pots, a, b, cost)
     assert np.array_equal(plan.weights, ref[ref > 0.0])
+
+
+def test_plan_matrix_out_of_the_wrong_shape_raises():
+    a, b, cost, pots = underflow_instance()
+    read_only = np.empty(cost.shape)
+    read_only.setflags(write=False)
+    for bad in (np.empty((150, 171)), np.empty((170, 150)),
+                np.empty(cost.shape, dtype=np.float32), read_only):
+        with pytest.raises(DomainError, match="output buffer"):
+            plan_matrix(pots, a, b, cost, out=bad)
 
 
 class CountingUfunc:
@@ -729,18 +748,7 @@ def test_cold_solves_at_tiny_eps_rebuild_the_kernel(monkeypatch, entropy,
     assert abs(value - exact_value) <= 1e-10 * abs(exact_value)
 
 
-def traced_peak(fn):
-    """Peak memory ``fn`` allocates beyond what is live when it starts."""
-    tracemalloc.start()
-    try:
-        start = tracemalloc.get_traced_memory()[0]
-        fn()
-        return tracemalloc.get_traced_memory()[1] - start
-    finally:
-        tracemalloc.stop()
-
-
-def test_solves_hold_one_kernel_per_half_update():
+def test_solves_hold_one_kernel_per_half_update(traced_peak):
     # the kernels are the only N x M arrays a solve allocates: no C / eps
     a, b, cost = random_pair(np.random.default_rng(55), 300, 400)
     cost_aa = SQ.pairwise(a.points, a.points)
@@ -749,6 +757,32 @@ def test_solves_hold_one_kernel_per_half_update():
     assert peak < 2.5 * cost.nbytes
     peak = traced_peak(lambda: solve_symmetric(a, cost_aa, KL(1.0), 0.05, opts))
     assert peak < 1.5 * cost_aa.nbytes
+
+
+def test_solves_keep_their_kernels_in_given_buffers():
+    a, b, cost = random_pair(np.random.default_rng(56), 30, 40)
+    cost_aa = SQ.pairwise(a.points, a.points)
+    opts = SolveOptions(tol=1e-10)
+    fresh, fresh_report = solve(a, b, cost, KL(1.0), 0.05, opts)
+    fresh_f, _ = solve_symmetric(a, cost_aa, KL(1.0), 0.05, opts)
+    kernels = (np.full((40, 30), np.nan), np.full((30, 40), np.nan))
+    kernel = np.full((30, 30), np.nan)
+    # a second solve reuses buffers that hold the first one's kernels
+    for _ in range(2):
+        pots, report = solve(a, b, cost, KL(1.0), 0.05, opts, kernels=kernels)
+        assert np.array_equal(pots.f, fresh.f)
+        assert np.array_equal(pots.g, fresh.g)
+        assert report.iterations == fresh_report.iterations
+        f, _ = solve_symmetric(a, cost_aa, KL(1.0), 0.05, opts, kernel=kernel)
+        assert np.array_equal(f, fresh_f)
+    assert all(np.all(np.isfinite(k)) for k in (*kernels, kernel))
+    for bad in ((np.empty((30, 40)), np.empty((30, 40))),
+                (np.empty((40, 30)), np.empty((30, 40), dtype=np.float32))):
+        with pytest.raises(DomainError, match="output buffer"):
+            solve(a, b, cost, KL(1.0), 0.05, opts, kernels=bad)
+    with pytest.raises(DomainError, match="output buffer"):
+        solve_symmetric(a, cost_aa, KL(1.0), 0.05, opts,
+                        kernel=np.empty((30, 31)))
 
 
 # ---------------------------------------------------------------- translation
