@@ -92,13 +92,12 @@ def _worst_report(*reports) -> SolveReport:
 class _Buffers:
     """The arrays a term writes into instead of allocating them: its cost,
     its half-update kernels (``(g, f)`` for a cross solve, one for a
-    symmetric solve), its plan and the cost gradient tensor of its side
-    ``"a"``.  ``None`` entries are allocated on use."""
+    symmetric solve) and its plan.  ``None`` entries are allocated on
+    use."""
 
     cost: Optional[np.ndarray] = None
     kernels: tuple = (None, None)
     plan: Optional[np.ndarray] = None
-    grad: Optional[np.ndarray] = None
 
 
 _FRESH = _Buffers()
@@ -193,13 +192,10 @@ def _ot_weight_grad(term, side) -> np.ndarray:
 
 
 def _ot_position_grad(term, side, cost) -> np.ndarray:
-    """Envelope gradient through the cost: ``sum_j pi_ij grad_x C(x_i, y_j)``."""
+    """Envelope gradient through the cost, ``sum_j pi_ij grad_x C(x_i, y_j)``,
+    contracted by :meth:`~uot.measures.CostSpec.grad_x`."""
     _, own, other, plan = term.oriented(side)
-    out = term.buffers.grad if side == "a" else None
-    grad = cost.grad_x(own.points, other.points, out=out)
-    # one contraction per coordinate: einsum's "ij,ijk->ik" is 2-3x slower
-    return np.stack([np.einsum("ij,ij->i", plan, grad[:, :, k])
-                     for k in range(grad.shape[2])], axis=1)
+    return cost.grad_x(own.points, other.points, plan)
 
 
 @dataclass

@@ -28,13 +28,11 @@ snapshot, the steps between included, so no ``max_iter`` stop goes unseen.
 
 The particle count is fixed within a flow, so the flow's workspace
 allocates every N x M array of a step once: the cross and self costs, the
-three half-update kernels, the two plans and one N x M x d cost gradient
-tensor, which the cross and self contractions use in turn.  The costs,
-kernels, plans and gradients of each step are written into them.  Freshly
-allocated, those arrays went back to the operating system after every
-step and were paged in again on the next: about 500 minor page faults a
-step on criterion 12's flows (a 2-core x86 VM, numpy 2.4, glibc), against
-under 10 with the workspace.
+three half-update kernels and the two plans, which each step overwrites.
+Freshly allocated, those arrays went back to the operating system after
+every step and were paged in again on the next: about 500 minor page
+faults a step on criterion 12's flows (a 2-core x86 VM, numpy 2.4, glibc),
+against under 10 with the workspace.
 """
 
 from __future__ import annotations
@@ -140,14 +138,12 @@ class _FlowWorkspace:
         """The cross and self terms' buffers, sized on the first call for
         ``alpha``'s particle count, which a flow does not change."""
         if self.buffers is None:
-            n, m, d = len(alpha), len(self.target), alpha.dim
-            # one gradient tensor: the self contraction runs after the cross
-            grad = np.empty(n * max(n, m) * d)
+            n, m = len(alpha), len(self.target)
             self.buffers = (
                 _Buffers(np.empty((n, m)), (np.empty((m, n)), np.empty((n, m))),
-                         np.empty((n, m)), grad[:n * m * d].reshape(n, m, d)),
+                         np.empty((n, m))),
                 _Buffers(np.empty((n, n)), (np.empty((n, n)),),
-                         np.empty((n, n)), grad[:n * n * d].reshape(n, n, d)))
+                         np.empty((n, n))))
         return self.buffers
 
     def _opts(self, init):
@@ -167,9 +163,9 @@ class _FlowWorkspace:
         ``step``, warm-started from the last ones; only its value needs
         ``target_term``.
 
-        The bundle's costs, plans and gradient tensors are the workspace's
-        buffers, so it is valid only until the next call, which overwrites
-        them: copy what outlives it.
+        The bundle's costs, kernels and plans are the workspace's buffers,
+        so it is valid only until the next call, which overwrites them:
+        copy what outlives it.
         """
         p = self.params
         cross_buffers, self_buffers = self._step_buffers(alpha)

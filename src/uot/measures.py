@@ -179,6 +179,22 @@ def _point_pair(xs, ys):
     return xs, ys
 
 
+def _sq_distances(xs, ys, out):
+    """Squared distances between two non-empty ``(n, d)`` point arrays,
+    written into ``out``: the first coordinate's square plus the others,
+    one at a time, so no N x M x d tensor is built.  ``0 + x`` is exact, so
+    for every d this is bit-identical to a sum started from zero; for
+    d <= 2 also to the sum over that tensor's last axis, and within one
+    ulp of it for d >= 3."""
+    np.subtract.outer(xs[:, 0], ys[:, 0], out=out)
+    out *= out
+    for k in range(1, xs.shape[1]):
+        dk = np.subtract.outer(xs[:, k], ys[:, k])
+        dk *= dk
+        out += dk
+    return out
+
+
 @dataclass(frozen=True)
 class CostSpec:
     """Ground cost ``scale * |x - y|^power`` (squared Euclidean by default).
@@ -207,27 +223,14 @@ class CostSpec:
 
     def pairwise(self, xs: np.ndarray, ys: np.ndarray,
                  out: Optional[np.ndarray] = None) -> np.ndarray:
-        """Dense N x M cost matrix between two point arrays, written into
-        ``out`` if given: a float array of that shape that aliases neither
-        point array.
-
-        The squared distance starts from the first coordinate's square and
-        adds the others one at a time, so no N x M x d tensor is built.
-        ``0 + x`` is exact, so for every d the result is bit-identical to a
-        sum started from zero.  For d <= 2 it is also bit-identical to
-        summing the squared differences over the last axis of that tensor;
-        for d >= 3 it is within one ulp.
-        """
+        """Dense N x M cost matrix between two point arrays (squared
+        distances from :func:`_sq_distances`), written into ``out`` if given:
+        a float array of that shape that aliases neither point array."""
         xs, ys = _point_pair(xs, ys)
         sq = _out_array(out, (len(xs), len(ys)))
         if sq.size == 0:
             return sq
-        np.subtract.outer(xs[:, 0], ys[:, 0], out=sq)
-        sq *= sq
-        for k in range(1, xs.shape[1]):
-            dk = np.subtract.outer(xs[:, k], ys[:, k])
-            dk *= dk
-            sq += dk
+        _sq_distances(xs, ys, sq)
         if self.power != 2.0:
             np.sqrt(sq, out=sq)
             sq **= self.power
@@ -235,38 +238,34 @@ class CostSpec:
         return sq
 
     def grad_x(self, xs: np.ndarray, ys: np.ndarray,
-               out: Optional[np.ndarray] = None) -> np.ndarray:
-        """Gradient of C(x_i, y_j) in its first argument, shape (N, M, d),
-        written into ``out`` if given, as in :meth:`pairwise`.
-
-        Costs with ``power < 2`` are not differentiable at coincident
-        points; hitting one raises :class:`DomainError`.
+               weights: np.ndarray) -> np.ndarray:
+        """Gradient in ``x_i`` of ``sum_j w_ij C(x_i, y_j)`` for an N x M
+        array ``w`` of ``weights`` (a plan, for an envelope gradient); shape
+        (N, d).  It is ``scale * power * (W 1 * x_i - W y)`` with
+        ``W = w * |x - y|^(power - 2)``: a row sum and a matrix product, and
+        no N x M x d tensor.  Costs with ``power < 2`` are not
+        differentiable at coincident points; hitting one raises
+        :class:`DomainError`.
         """
         xs, ys = _point_pair(xs, ys)
-        diff = _out_array(out, (len(xs), len(ys), xs.shape[1]))
-        if diff.size == 0:
-            return diff
-        # one coordinate at a time: broadcasting over a length-d last axis
-        # runs numpy's inner loop N x M times on d elements
-        for k in range(xs.shape[1]):
-            np.subtract.outer(xs[:, k], ys[:, k], out=diff[:, :, k])
-        if self.power == 2.0:
-            diff *= 2.0 * self.scale
-            return diff
-        # the squared norm summed one coordinate at a time, as in pairwise
-        factor = np.square(diff[:, :, 0])
-        for k in range(1, xs.shape[1]):
-            factor += np.square(diff[:, :, k])
-        if self.power < 2.0 and np.any(factor == 0.0):
-            raise DomainError(
-                "cost gradient undefined at coincident points for power < 2")
-        # |x - y|^(power - 2), which is 0 at coincident points for power > 2
-        np.sqrt(factor, out=factor)
-        factor **= self.power - 2.0
-        factor *= self.scale * self.power
-        for k in range(xs.shape[1]):
-            diff[:, :, k] *= factor
-        return diff
+        w = np.asarray(weights, dtype=float)
+        if w.shape != (len(xs), len(ys)):
+            raise DomainError(f"weights of shape {w.shape} for "
+                              f"({len(xs)}, {len(ys)}) point pairs")
+        if w.size == 0:
+            return np.zeros(xs.shape)
+        if self.power != 2.0:
+            sq = _sq_distances(xs, ys, np.empty(w.shape))
+            if self.power < 2.0 and np.any(sq == 0.0):
+                raise DomainError("cost gradient undefined at coincident "
+                                  "points for power < 2")
+            # |x - y|^(power - 2), which is 0 at coincident points for
+            # power > 2
+            np.sqrt(sq, out=sq)
+            sq **= self.power - 2.0
+            w = np.multiply(sq, w, out=sq)
+        return (self.scale * self.power) * (w.sum(axis=1)[:, None] * xs
+                                            - w @ ys)
 
 
 def cost_matrix(xs, ys, cost: CostSpec) -> np.ndarray:

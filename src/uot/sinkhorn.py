@@ -300,11 +300,13 @@ def _check_eps(eps):
 
 
 def _check_entry(alpha, beta, cost, eps):
-    """The input checks both solvers share; returns the cost as floats."""
+    """The input checks both solvers and ``plan_matrix`` share; returns the
+    cost as floats."""
     _check_eps(eps)
     if alpha.is_null or beta.is_null:
-        raise DomainError("solve requires non-null measures; null-measure "
-                          "values have closed forms in uot.divergences")
+        raise DomainError("solves and plans need non-null measures; "
+                          "null-measure values have closed forms in "
+                          "uot.divergences")
     cost = np.asarray(cost, dtype=float)
     if cost.shape != (len(alpha), len(beta)):
         raise DomainError(f"cost shape {cost.shape} does not match supports "
@@ -461,13 +463,17 @@ def plan_matrix(pots: DualPotentials, alpha: DiscreteMeasure,
     written into ``out`` if given: an N x M float array that aliases no
     input.
 
-    Entries below ``e^-700`` (about 1e-304) are exactly 0.
+    Entries below ``e^-700`` (about 1e-304) are exactly 0.  Inputs are
+    checked as in :func:`solve`, and ``f`` and ``g`` need one entry per atom.
     """
+    cost = _check_entry(alpha, beta, cost, pots.eps)
+    if (pots.f.shape, pots.g.shape) != ((len(alpha),), (len(beta),)):
+        raise DomainError("potentials need one entry per atom")
     pi = _out_array(out, (len(alpha), len(beta)))
     # rounded as (log a (+) log b) + (f (+) g - C) / eps: the log weights
     # are one outer sum, added last
     np.add.outer(pots.f, pots.g, out=pi)
-    pi -= np.asarray(cost, dtype=float)
+    pi -= cost
     pi /= pots.eps
     pi += np.add.outer(alpha.log_weights, beta.log_weights)
     below = pi < _EXP_FLOOR

@@ -370,9 +370,17 @@ def test_position_gradient_matches_finite_differences(entropy, which):
         assert np.max(np.abs(gw.d_weights_b - fd_wb)) <= 1e-5 * max(np.max(np.abs(fd_wb)), 1e-12)
 
 
+def tensor_cost_grad(spec, xs, ys):
+    """``grad_x C(x_i, y_j)`` as the N x M x d tensor."""
+    diff = xs[:, None, :] - ys[None, :, :]
+    dist = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
+    coef = spec.scale * spec.power * dist ** (spec.power - 2.0)
+    return coef[:, :, None] * diff
+
+
 @pytest.mark.parametrize("d", [1, 2, 3])
 def test_position_gradient_matches_the_tensor_contraction(d):
-    # the gradient contracts the plan with grad_x one coordinate at a time
+    # the plan contracted with the N x M x d tensor of cost gradients
     rng = np.random.default_rng(60 + d)
     a, b = random_measure(rng, 30, d), random_measure(rng, 40, d)
     for spec in (SQ, CostSpec.euclidean_pow(1.5, 2.0)):
@@ -383,8 +391,21 @@ def test_position_gradient_matches_the_tensor_contraction(d):
         for got, pi, own, other in ((g.d_points_a, plan, a, b),
                                     (g.d_points_b, plan.T, b, a)):
             ref = np.einsum("ij,ijk->ik", pi,
-                            spec.grad_x(own.points, other.points))
-            assert np.array_equal(got, ref)
+                            tensor_cost_grad(spec, own.points, other.points))
+            assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+def test_position_gradients_build_no_cost_gradient_tensor(traced_peak):
+    # each contraction is a row sum and a matrix product with the plan; the
+    # N x M x 2 tensor of cost gradients took 2 N x M arrays
+    n = 300
+    rng = np.random.default_rng(61)
+    a, b = random_measure(rng, n), random_measure(rng, n)
+    bundle = solve_terms(a, b, SQ, KL(1.0), 0.1, "s")
+    for term in (bundle.cross, bundle.self_a, bundle.self_b):
+        assert term.plan.shape == (n, n)
+    peak = traced_peak(bundle.grad_positions)
+    assert peak < 0.25 * n * n * 8
 
 
 def test_divergence_position_gradient_vanishes_at_equal_measures():

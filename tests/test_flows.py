@@ -306,9 +306,9 @@ def test_a_stop_between_snapshots_shows_in_the_next_one(monkeypatch):
 
 
 def test_flow_steps_reuse_the_workspace_buffers(traced_peak):
-    # the costs, kernels, plans and gradient tensor of a step are written
-    # into the workspace's buffers, allocated by the first step; what is
-    # left are temporaries, one N x M array at a time
+    # the costs, kernels and plans of a step are written into the
+    # workspace's buffers, allocated by the first step; what is left are
+    # temporaries, one N x M array at a time
     n = 200
     state, target = two_clouds(75, n)
     params = FlowParams(eps=1e-3, entropy=KL(0.1), solve_tol=1e-6,

@@ -2,6 +2,9 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from uot import (CostSpec, DiscreteMeasure, DomainError, InvalidMeasureError,
                  cost_matrix, load_measure, new_measure, total_mass)
@@ -85,20 +88,27 @@ def powered(spec, sq):
     return spec.scale * np.sqrt(sq) ** spec.power
 
 
+def tensor_grad_parts(spec, xs, ys):
+    """``grad_x C(x_i, y_j) = coef_ij * diff_ijk`` through the N x M x d
+    difference tensor: ``(coef, diff)``."""
+    diff = xs[:, None, :] - ys[None, :, :]
+    if spec.power == 2.0:
+        return np.full(diff.shape[:2], 2.0 * spec.scale), diff
+    sq = tensor_sq_distances(xs, ys)
+    return spec.scale * spec.power * np.sqrt(sq) ** (spec.power - 2.0), diff
+
+
 @pytest.mark.parametrize("d", [1, 2, 3])
 def test_cost_matches_the_tensor_formula(d):
     rng = np.random.default_rng(30 + d)
     xs, ys = rng.standard_normal((64, d)), rng.standard_normal((45, d))
-    diff = xs[:, None, :] - ys[None, :, :]
+    weights = rng.random((64, 45))
     sq = tensor_sq_distances(xs, ys)
     zero_start = zero_start_sq_distances(xs, ys)
     for spec in (CostSpec.sq_euclidean(0.5), CostSpec.euclidean_pow(1.0),
                  CostSpec.euclidean_pow(1.5, 2.0),
                  CostSpec.euclidean_pow(3.0, 0.5)):
         ref = powered(spec, sq)
-        ref_grad = (2.0 * spec.scale * diff if spec.power == 2.0 else
-                    (spec.scale * spec.power)
-                    * (np.sqrt(sq) ** (spec.power - 2.0))[:, :, None] * diff)
         got = spec.pairwise(xs, ys)
         if d <= 2:
             assert np.array_equal(got, ref)
@@ -110,16 +120,12 @@ def test_cost_matches_the_tensor_formula(d):
         out = np.full(got.shape, np.nan)
         assert spec.pairwise(xs, ys, out=out) is out
         assert np.array_equal(out, got)
-        got_grad = spec.grad_x(xs, ys)
-        if d <= 2 or spec.power == 2.0:
-            assert np.array_equal(got_grad, ref_grad)
-        else:
-            # the per-coordinate squared norm is within one ulp of einsum's
-            assert np.all(np.abs(got_grad - ref_grad)
-                          <= 1e-15 * np.abs(ref_grad))
-        out = np.full(got_grad.shape, np.nan)
-        assert spec.grad_x(xs, ys, out=out) is out
-        assert np.array_equal(out, got_grad)
+        # the contraction, within 1e-13 of the reference in max norm
+        coef, diff = tensor_grad_parts(spec, xs, ys)
+        ref_grad = np.einsum("ij,ijk->ik", weights * coef, diff)
+        got_grad = spec.grad_x(xs, ys, weights)
+        assert np.max(np.abs(got_grad - ref_grad)) <= 1e-13 * np.max(
+            np.abs(ref_grad))
         assert np.all(np.diag(spec.pairwise(xs, xs)) == 0.0)
 
 
@@ -132,9 +138,11 @@ def test_cost_out_of_the_wrong_shape_raises():
                 read_only, [[0.0] * 4] * 3):
         with pytest.raises(DomainError, match="output buffer"):
             spec.pairwise(xs, ys, out=bad)
-    for bad in (np.empty((3, 4)), np.empty((4, 3, 2))):
-        with pytest.raises(DomainError, match="output buffer"):
-            spec.grad_x(xs, ys, out=bad)
+    for spec in (CostSpec(), CostSpec.euclidean_pow(3.0)):
+        for bad in (np.ones((4, 3)), np.ones((3, 4, 2)), np.ones(12),
+                    np.ones((3, 1)), 1.0):
+            with pytest.raises(DomainError, match="weights"):
+                spec.grad_x(xs, ys, bad)
 
 
 def test_cost_null_supports():
@@ -144,28 +152,75 @@ def test_cost_null_supports():
         assert spec.pairwise(pts, np.zeros((0, 2))).shape == (5, 0)
         assert spec.pairwise(np.zeros((0, 2)), np.zeros((0, 2))).shape == (0, 0)
         assert spec.pairwise([], np.ones((4, 3))).shape == (0, 4)
-        assert spec.grad_x(np.zeros((0, 2)), pts).shape == (0, 5, 2)
-        assert spec.grad_x(pts, np.zeros((0, 2))).shape == (5, 0, 2)
+        assert spec.grad_x(np.zeros((0, 2)), pts,
+                           np.zeros((0, 5))).shape == (0, 2)
+        grad = spec.grad_x(pts, np.zeros((0, 2)), np.zeros((5, 0)))
+        assert grad.shape == (5, 2) and np.all(grad == 0.0)
 
 
 def test_cost_grad_matches_finite_differences():
     rng = np.random.default_rng(2)
     xs, ys = rng.random((4, 2)), rng.random((5, 2))
+    weights = rng.random((4, 5))
     h = 1e-6
     for spec in (CostSpec.sq_euclidean(), CostSpec.euclidean_pow(1.5, scale=2.0)):
-        grad = spec.grad_x(xs, ys)
+        grad = spec.grad_x(xs, ys, weights)
         for k in range(2):
             xp, xm = xs.copy(), xs.copy()
             xp[:, k] += h
             xm[:, k] -= h
-            fd = (spec.pairwise(xp, ys) - spec.pairwise(xm, ys)) / (2 * h)
-            assert np.allclose(grad[:, :, k], fd, atol=1e-6)
+            # central difference of sum_j w_ij C(x_i, y_j)
+            fd = np.sum(weights * (spec.pairwise(xp, ys)
+                                   - spec.pairwise(xm, ys)), axis=1) / (2 * h)
+            assert np.allclose(grad[:, k], fd, atol=1e-6)
 
 
 def test_cost_grad_rejects_coincident_points_for_distance():
     pts = np.array([[0.0, 0.0]])
     with pytest.raises(DomainError):
-        CostSpec.euclidean_pow(1.0).grad_x(pts, pts)
+        CostSpec.euclidean_pow(1.0).grad_x(pts, pts, np.ones((1, 1)))
+
+
+@st.composite
+def contractions(draw):
+    """A cost and ``(xs, ys, weights)``: d in {1, 2, 3}, supports of 0 to 6
+    atoms whose coordinates are often grid points, so pairs coincide, and
+    nonnegative weights with zero rows and columns.  Nonzero coordinates
+    and weights stay above 1e-3, so no product of them is subnormal."""
+    d = draw(st.sampled_from([1, 2, 3]))
+    spec = CostSpec.euclidean_pow(draw(st.sampled_from([1.5, 2.0, 3.0])),
+                                  draw(st.sampled_from([0.5, 1.0])))
+    n, m = draw(st.integers(0, 6)), draw(st.integers(0, 6))
+    coords = st.one_of(st.integers(-8, 8).map(lambda k: k / 4.0),
+                       st.floats(-2.0, -1e-3), st.floats(1e-3, 2.0))
+    xs = draw(hnp.arrays(float, (n, d), elements=coords))
+    ys = draw(hnp.arrays(float, (m, d), elements=coords))
+    weights = draw(hnp.arrays(float, (n, m), elements=st.one_of(
+        st.just(0.0), st.floats(1e-3, 1.0))))
+    weights[draw(st.lists(st.integers(0, max(n - 1, 0)), max_size=n)), :] = 0.0
+    weights[:, draw(st.lists(st.integers(0, max(m - 1, 0)), max_size=m))] = 0.0
+    return spec, xs, ys, weights
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=500)
+@given(contractions())
+def test_cost_grad_is_the_tensor_contraction(case):
+    spec, xs, ys, weights = case
+    if spec.power < 2.0 and np.any(tensor_sq_distances(xs, ys) == 0.0):
+        with pytest.raises(DomainError, match="coincident"):
+            spec.grad_x(xs, ys, weights)
+        return
+    coef, diff = tensor_grad_parts(spec, xs, ys)
+    ref = np.einsum("ij,ijk->ik", weights * coef, diff)
+    # within 1e-13 of the size of the terms that W 1 * x_i - W y cancels,
+    # sum_j |w_ij coef_ij| (|x_i| + |y_j|): the reference's own size when
+    # nothing cancels, and not 0 where the reference is 0 by symmetry
+    terms = np.einsum("ij,ijk->ik", np.abs(weights * coef),
+                      np.abs(xs)[:, None, :] + np.abs(ys)[None, :, :])
+    got = spec.grad_x(xs, ys, weights)
+    assert got.shape == xs.shape
+    assert np.max(np.abs(got - ref), initial=0.0) <= 1e-13 * np.max(
+        terms, initial=0.0)
 
 
 def test_cost_spec_validation():
@@ -184,7 +239,7 @@ def test_cost_grad_dimension_mismatch():
     # a length-1 coordinate axis used to broadcast against the other's
     for xs, ys in (([[0.0]], [[0.0, 1.0]]), ([[0.0, 1.0]], [[0.0]])):
         with pytest.raises(DomainError):
-            CostSpec().grad_x(xs, ys)
+            CostSpec().grad_x(xs, ys, np.ones((1, 1)))
 
 
 def test_json_round_trip_is_bit_exact(tmp_path):

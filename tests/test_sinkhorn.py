@@ -621,6 +621,26 @@ def test_plan_matrix_out_of_the_wrong_shape_raises():
             plan_matrix(pots, a, b, cost, out=bad)
 
 
+def test_plan_matrix_checks_its_inputs():
+    # an N x 1 cost used to broadcast into a plan of the right shape
+    a, b, cost = random_pair(np.random.default_rng(47), 3, 4)
+    pots, _ = solve(a, b, cost, KL(1.0), 0.1)
+    for bad in (cost[:, :1], cost[:1], cost.T, cost[:, :, None]):
+        with pytest.raises(DomainError, match="cost shape"):
+            plan_matrix(pots, a, b, bad)
+    for f, g in ((pots.f[:2], pots.g), (pots.f, pots.g[:1]),
+                 (pots.g, pots.f), (pots.f[:, None], pots.g)):
+        with pytest.raises(DomainError, match="potentials"):
+            plan_matrix(DualPotentials(f, g, pots.eps, pots.entropy), a, b,
+                        cost)
+    # the plan mass of the non-smooth entropies goes through it
+    b = b.scaled(a.total_mass / b.total_mass)
+    for entropy in (TV(0.5), Range(0.5, 2.0), Balanced()):
+        pots, _ = solve(a, b, cost, entropy, 0.1)
+        with pytest.raises(DomainError, match="cost shape"):
+            dual_value(pots, a, b, cost[:, :1])
+
+
 class CountingUfunc:
     """A ufunc with its elementwise calls counted, or only those on arrays
     of ``ndim`` dimensions if given; ``reduce`` and the other ufunc methods
