@@ -29,7 +29,7 @@ from .entropies import Entropy, _with_rho
 from .errors import DomainError, UnsupportedEntropyError
 from .measures import CostSpec, DiscreteMeasure
 from .sinkhorn import (CONVERGED, INFEASIBLE, DualPotentials, SolveOptions,
-                       SolveReport, _check_eps, extrapolate, plan_matrix,
+                       SolveReport, _check_eps, half_update, plan_matrix,
                        solve, symmetric_potentials)
 
 _INF = math.inf
@@ -90,14 +90,13 @@ def _worst_report(*reports) -> SolveReport:
 
 @dataclass(frozen=True)
 class _Buffers:
-    """The arrays a term writes into instead of allocating them: its cost,
-    its half-update kernels (``(g, f)`` for a cross solve, one for a
-    symmetric solve) and its plan.  ``None`` entries are allocated on
-    use."""
+    """The arrays a term writes into instead of allocating them: its cost
+    and its half-update kernels (``(g, f)`` for a cross solve, one for a
+    symmetric solve), the last of which takes the plan once the solve is
+    done with it.  ``None`` entries are allocated on use."""
 
     cost: Optional[np.ndarray] = None
     kernels: tuple = (None, None)
-    plan: Optional[np.ndarray] = None
 
 
 _FRESH = _Buffers()
@@ -129,7 +128,7 @@ class _Term:
             raise DomainError("gradients need non-null measures and a "
                               "feasible instance")
         return plan_matrix(self.pots, self.alpha, self.beta, self.cost,
-                           out=self.buffers.plan)
+                           out=self.buffers.kernels[-1])
 
     def oriented(self, side):
         """Potential, own and other measure, and the plan with the own
@@ -202,7 +201,7 @@ def _ot_position_grad(term, side, cost) -> np.ndarray:
 class _Solved:
     """The solves behind ``OT_eps(a, b)`` or, with the self terms
     ``OT_eps(a, a)`` and ``OT_eps(b, b)``, ``S_eps(a, b)``; read on demand.
-    A flow step has no ``self_b``: it reads side ``"a"`` gradients only."""
+    A flow step reads side ``"a"`` only; ``self_b`` is there for the value."""
 
     cost: CostSpec
     entropy: Entropy
@@ -341,14 +340,20 @@ def hausdorff_divergence(alpha: DiscreteMeasure, beta: DiscreteMeasure,
     term_a = _term(alpha, alpha, cost, entropy, eps, opts, symmetric=True)
     term_b = _term(beta, beta, cost, entropy, eps, opts, symmetric=True)
     pots_a, pots_b = term_a.pots, term_b.pots
-    f_on_b = extrapolate(pots_a, "a", alpha, beta.points, cost)
-    g_on_a = extrapolate(pots_b, "a", beta, alpha.points, cost)
+    # each potential extended to the other support by one half-update, as
+    # in :func:`~uot.sinkhorn.extrapolate`, on one cross cost
+    c_ab = cost.pairwise(alpha.points, beta.points)
+    f_on_b = half_update(eps, entropy, alpha, pots_a.g, c_ab.T,
+                         rho=entropy.rho_at(beta.points))
+    g_on_a = half_update(eps, entropy, beta, pots_b.g, c_ab,
+                         rho=entropy.rho_at(alpha.points))
 
-    del_f_a = _entropy_grad_fn(entropy, eps, alpha)
-    del_f_b = _entropy_grad_fn(entropy, eps, beta)
-    # <a - b, grad F(a) - grad F(b)> sampled on both supports
-    on_a = del_f_a(pots_a.f) - del_f_b(g_on_a)
-    on_b = del_f_a(f_on_b) - del_f_b(pots_b.f)
+    # <a - b, grad F(a) - grad F(b)> sampled on both supports, with rho
+    # read at the sample points
+    grad_on_a = _entropy_grad_fn(entropy, eps, alpha)
+    grad_on_b = _entropy_grad_fn(entropy, eps, beta)
+    on_a = grad_on_a(pots_a.f) - grad_on_a(g_on_a)
+    on_b = grad_on_b(f_on_b) - grad_on_b(pots_b.f)
     value = float(alpha.weights @ on_a) - float(beta.weights @ on_b)
     return DivergenceValue(value, None,
                            _worst_report(term_a.report, term_b.report))

@@ -10,25 +10,26 @@ init: the previous ``f`` was computed at particle positions that no longer
 exist, and the first g half-update would read it, while one f half-update
 from ``g`` puts ``f`` back in line with it.  That ``g`` is the linear
 extrapolation ``2 g_k - g_(k-1)`` of the last two steps' target potentials
-(the previous one alone on the first steps, or the exact one when a
-snapshot already solved this step).  Early in a flow the target potential
-moves by up to 0.15 a step: from the previous ``g`` alone, step 3 of
-criterion 12's KL flow takes 232 sweeps, the slowest step of the run,
-against 193 from the previous ``(f, g)`` and 187 from the extrapolation.
+(the first step starts from the closed forms, the second from the previous
+``g`` alone).  Early in a flow the target potential moves by up to 0.15 a
+step: from the previous ``g`` alone, step 3 of criterion 12's KL flow takes
+232 sweeps, the slowest step of the run, against 193 from the previous
+``(f, g)`` and 187 from the extrapolation.
 Over criterion 12's flows the extrapolated start cuts the cross-solve
 sweeps from 14 146 to 4 488 (KL) and from 3 269 to 1 496 (TV) against the
 ``(f, g)`` start.  The particles' self term, which has a single potential,
 restarts from its previous ``f``.
 
 Each step builds the solve bundle of :mod:`uot.divergences` and reads the
-gradients from it; snapshots add the target's self term, solved once per
-run, and read ``S_eps`` from it too.  The formulas live in that module only.
+gradients from it; a snapshot of the step's state reads ``S_eps`` from it
+too, with the target's self term, solved once per run, so snapshots add no
+solve and do not move the flow.  The formulas live in that module only.
 A snapshot's report is the worst report of every solve since the previous
 snapshot, the steps between included, so no ``max_iter`` stop goes unseen.
 
 The particle count is fixed within a flow, so the flow's workspace
-allocates every N x M array of a step once: the cross and self costs, the
-three half-update kernels and the two plans, which each step overwrites.
+allocates every N x M array of a step once: the cross and self costs and
+the three half-update kernels, each term's last kernel taking its plan.
 Freshly allocated, those arrays went back to the operating system after
 every step and were paged in again on the next: about 500 minor page
 faults a step on criterion 12's flows (a 2-core x86 VM, numpy 2.4, glibc),
@@ -120,17 +121,17 @@ _EXP_CLIP = 200.0
 
 
 class _FlowWorkspace:
-    """Per-run cache: the warm starts, with the target potentials of the
-    last two flow steps solved, keyed by step; the reports of the solves
-    since the last snapshot; and the N x M arrays of a step, allocated on
-    the first solve (see the module docstring)."""
+    """Per-run cache: the warm starts (the last two target potentials); the
+    target's self term; the last bundle solved; the reports since the last
+    snapshot; and a step's N x M arrays (see the module docstring)."""
 
     def __init__(self, target: DiscreteMeasure, cost: CostSpec, params: FlowParams):
         self.target = target
         self.cost = cost
         self.params = params
         self.warm_aa = "asymptotic"
-        self.g_at = {}
+        self.last_g = []
+        self.target_term = self.solved = None
         self.reports = []
         self.buffers = None
 
@@ -140,28 +141,24 @@ class _FlowWorkspace:
         if self.buffers is None:
             n, m = len(alpha), len(self.target)
             self.buffers = (
-                _Buffers(np.empty((n, m)), (np.empty((m, n)), np.empty((n, m))),
-                         np.empty((n, m))),
-                _Buffers(np.empty((n, n)), (np.empty((n, n)),),
-                         np.empty((n, n))))
+                _Buffers(np.empty((n, m)), (np.empty((m, n)), np.empty((n, m)))),
+                _Buffers(np.empty((n, n)), (np.empty((n, n)),)))
         return self.buffers
 
     def _opts(self, init):
         return SolveOptions(tol=self.params.solve_tol,
                             max_iter=self.params.solve_max_iter, init=init)
 
-    def _cross_init(self, step):
-        # g_at holds the last step solved and the one before, if solved
-        g = self.g_at
-        if step - 1 in g and step - 2 in g:
-            return (None, 2.0 * g[step - 1] - g[step - 2])
-        return (None, g[max(g)]) if g else "asymptotic"
+    def _cross_init(self):
+        g = self.last_g
+        if len(g) == 2:
+            return (None, 2.0 * g[1] - g[0])
+        return (None, g[0]) if g else "asymptotic"
 
-    def solve(self, alpha: DiscreteMeasure, step: int,
-              target_term=None) -> _Solved:
-        """The S_eps bundle at ``alpha``, the particles at flow step
-        ``step``, warm-started from the last ones; only its value needs
-        ``target_term``.
+    def solve(self, alpha: DiscreteMeasure) -> _Solved:
+        """The S_eps bundle at the particles ``alpha``, warm-started from
+        the last ones, kept as ``self.solved``; its value needs
+        ``self.target_term``.
 
         The bundle's costs, kernels and plans are the workspace's buffers,
         so it is valid only until the next call, which overwrites them:
@@ -170,7 +167,7 @@ class _FlowWorkspace:
         p = self.params
         cross_buffers, self_buffers = self._step_buffers(alpha)
         cross = _term(alpha, self.target, self.cost, p.entropy, p.eps,
-                      self._opts(self._cross_init(step)), buffers=cross_buffers)
+                      self._opts(self._cross_init()), buffers=cross_buffers)
         if cross.pots is None:
             raise DomainError("flow hit an infeasible configuration")
         self_a = _term(alpha, alpha, self.cost, p.entropy, p.eps,
@@ -178,9 +175,10 @@ class _FlowWorkspace:
                        buffers=self_buffers)
         self.reports += [cross.report, self_a.report]
         self.warm_aa = self_a.pots.f
-        self.g_at = {k: g for k, g in self.g_at.items() if k == step - 1}
-        self.g_at[step] = cross.pots.g
-        return _Solved(self.cost, p.entropy, p.eps, cross, self_a, target_term)
+        self.last_g = self.last_g[-1:] + [cross.pots.g]
+        self.solved = _Solved(self.cost, p.entropy, p.eps, cross, self_a,
+                              self.target_term)
+        return self.solved
 
 
 def flow_step(state: FlowState, target: DiscreteMeasure, cost: CostSpec,
@@ -189,7 +187,7 @@ def flow_step(state: FlowState, target: DiscreteMeasure, cost: CostSpec,
     """One synchronous update of every particle."""
     if workspace is None:
         workspace = _FlowWorkspace(target, cost, params)
-    solved = workspace.solve(state.measure(), state.step)
+    solved = workspace.solve(state.measure())
     g_pos = solved.position_grad("a")
     positions = state.positions - params.eta_x * g_pos
     r = state.r
@@ -212,22 +210,25 @@ def run_flow(init: FlowState, target: DiscreteMeasure, cost: CostSpec,
     if snapshot_every < 1:
         raise DomainError("snapshot_every must be >= 1")
     workspace = _FlowWorkspace(target, cost, params)
-    target_term = _term(target, target, cost, params.entropy, params.eps,
-                        workspace._opts("asymptotic"), symmetric=True)
-    workspace.reports.append(target_term.report)
+    workspace.target_term = _term(target, target, cost, params.entropy,
+                                  params.eps, workspace._opts("asymptotic"),
+                                  symmetric=True)
+    workspace.reports.append(workspace.target_term.report)
 
     def snapshot(state: FlowState) -> FlowState:
-        value = workspace.solve(state.measure(), state.step,
-                                target_term).value()
         report = _worst_report(*workspace.reports)
         workspace.reports.clear()
         return replace(state, positions=state.positions.copy(),
-                       r=state.r.copy(), s_eps=value.value, report=report)
+                       r=state.r.copy(), s_eps=workspace.solved.value().value,
+                       report=report)
 
-    trajectory = [snapshot(init)]
+    trajectory = []
     state = init
     for k in range(params.steps):
-        state = flow_step(state, target, cost, params, workspace)
-        if state.step % snapshot_every == 0 or k == params.steps - 1:
-            trajectory.append(snapshot(state))
+        previous, state = state, flow_step(state, target, cost, params,
+                                           workspace)
+        if k == 0 or previous.step % snapshot_every == 0:
+            trajectory.append(snapshot(previous))
+    workspace.solve(state.measure())
+    trajectory.append(snapshot(state))
     return trajectory

@@ -155,9 +155,10 @@ def load_measure(path) -> DiscreteMeasure:
     return DiscreteMeasure.load_json(path)
 
 
-def _out_array(out, shape):
+def _out_array(out, shape, *inputs):
     """``out`` after checking that it is a writable float array of
-    ``shape``, or a new array if it is ``None``."""
+    ``shape`` that may share no memory with any of ``inputs`` (``None``
+    entries skipped), or a new array if it is ``None``."""
     if out is None:
         return np.empty(shape)
     if not (isinstance(out, np.ndarray) and out.shape == shape
@@ -165,6 +166,8 @@ def _out_array(out, shape):
         got = getattr(out, "shape", type(out).__name__)
         raise DomainError(f"an output buffer must be a writable float "
                           f"array of shape {shape}, got {got}")
+    if any(x is not None and np.may_share_memory(out, x) for x in inputs):
+        raise DomainError("an output buffer must not overlap an input")
     return out
 
 
@@ -225,9 +228,10 @@ class CostSpec:
                  out: Optional[np.ndarray] = None) -> np.ndarray:
         """Dense N x M cost matrix between two point arrays (squared
         distances from :func:`_sq_distances`), written into ``out`` if given:
-        a float array of that shape that aliases neither point array."""
+        a float array of that shape that overlaps neither point array, or
+        :class:`DomainError` is raised."""
         xs, ys = _point_pair(xs, ys)
-        sq = _out_array(out, (len(xs), len(ys)))
+        sq = _out_array(out, (len(xs), len(ys)), xs, ys)
         if sq.size == 0:
             return sq
         _sq_distances(xs, ys, sq)

@@ -161,7 +161,7 @@ def _half_map(eps, entropy, log_w, cost, rho, kernel=None):
     ``kernel`` if given, and reuses it while the potential's drift ``d``
     spans less than ``_KERNEL_DRIFT`` (see the module docstring).
     """
-    kernel = _out_array(kernel, cost.shape)
+    kernel = _out_array(kernel, cost.shape, cost)
     ref = mx = None
 
     def half(pot):
@@ -365,7 +365,8 @@ def solve(alpha: DiscreteMeasure, beta: DiscreteMeasure, cost: np.ndarray,
     ``kernels``, if given, is a pair of float arrays of shapes ``(M, N)``
     and ``(N, M)``, for ``N`` atoms in ``alpha`` and ``M`` in ``beta``,
     that the g and f half-updates keep their kernels in instead of
-    allocating them; neither may alias ``cost``.
+    allocating them; one that overlaps ``cost`` or the other raises
+    ``DomainError``.
     """
     opts = opts or SolveOptions()
     cost = _check_entry(alpha, beta, cost, eps)
@@ -378,7 +379,8 @@ def solve(alpha: DiscreteMeasure, beta: DiscreteMeasure, cost: np.ndarray,
     # which it writes into its own contiguous buffer
     kernel_g, kernel_f = (None, None) if kernels is None else kernels
     half_g = _half_map(eps, entropy, log_a, cost.T, rho_b, kernel_g)
-    half_f = _half_map(eps, entropy, log_b, cost, rho_a, kernel_f)
+    half_f = _half_map(eps, entropy, log_b, cost, rho_a,
+                       _out_array(kernel_f, cost.shape, kernel_g))
     translate = (_kl_translation(entropy.rho, alpha, beta)
                  if isinstance(entropy, KL) and rho_a is None else None)
 
@@ -406,7 +408,7 @@ def solve_symmetric(alpha: DiscreteMeasure, cost: np.ndarray, entropy: Entropy,
     of ``T_alpha`` can two-cycle for the balanced constraint.  The returned
     vector satisfies ``f = T_alpha(f)`` to within ``opts.tol``.  A provided
     ``opts.init`` is the potential vector, or an (f, g) pair whose f is used.
-    ``kernel``, if given, is an N x N float array, not aliasing ``cost``,
+    ``kernel``, if given, is an N x N float array, not overlapping ``cost``,
     that the half-update keeps its kernel in, as in :func:`solve`.
     """
     opts = opts or SolveOptions()
@@ -460,8 +462,8 @@ def plan_matrix(pots: DualPotentials, alpha: DiscreteMeasure,
                 beta: DiscreteMeasure, cost: np.ndarray,
                 out: Optional[np.ndarray] = None) -> np.ndarray:
     """Implicit transport plan ``pi_ij = a_i b_j exp((f_i + g_j - C_ij)/eps)``,
-    written into ``out`` if given: an N x M float array that aliases no
-    input.
+    written into ``out`` if given: an N x M float array that overlaps none
+    of ``cost``, ``f`` and ``g``, or ``DomainError`` is raised.
 
     Entries below ``e^-700`` (about 1e-304) are exactly 0.  Inputs are
     checked as in :func:`solve`, and ``f`` and ``g`` need one entry per atom.
@@ -469,7 +471,7 @@ def plan_matrix(pots: DualPotentials, alpha: DiscreteMeasure,
     cost = _check_entry(alpha, beta, cost, pots.eps)
     if (pots.f.shape, pots.g.shape) != ((len(alpha),), (len(beta),)):
         raise DomainError("potentials need one entry per atom")
-    pi = _out_array(out, (len(alpha), len(beta)))
+    pi = _out_array(out, (len(alpha), len(beta)), cost, pots.f, pots.g)
     # rounded as (log a (+) log b) + (f (+) g - C) / eps: the log weights
     # are one outer sum, added last
     np.add.outer(pots.f, pots.g, out=pi)

@@ -8,7 +8,7 @@ from uot import (KL, TV, Balanced, Berg, CostSpec, DiscreteMeasure,
                  UnsupportedEntropyError, dual_value, grad_positions,
                  grad_weights, hausdorff_divergence, ot_eps, plan_matrix,
                  sinkhorn_divergence, sinkhorn_entropy, solve)
-from uot.divergences import solve_terms
+from uot.divergences import _entropy_grad_fn, solve_terms
 from uot.sinkhorn import extrapolate
 
 SQ = CostSpec.sq_euclidean()
@@ -235,9 +235,41 @@ def test_hausdorff_bounds_against_divergence():
     rng = np.random.default_rng(38)
     for _ in range(5):
         a, b = random_measure(rng, 9), random_measure(rng, 12)
-        h = hausdorff_divergence(a, b, SQ, KL(0.9), 0.4, TIGHT).value
-        s = sinkhorn_divergence(a, b, SQ, KL(0.9), 0.4, TIGHT).value
-        assert -1e-10 <= h <= 2 * s + 1e-10
+        for entropy in (KL(0.9), KL(0.9, rho_fn=lambda pts: 0.5 + pts[:, 0])):
+            h = hausdorff_divergence(a, b, SQ, entropy, 0.4, TIGHT).value
+            s = sinkhorn_divergence(a, b, SQ, entropy, 0.4, TIGHT).value
+            assert -1e-10 <= h <= 2 * s + 1e-10
+
+
+@pytest.mark.parametrize("power", [1.5, 2.0, 3.0])
+@pytest.mark.parametrize("entropy", [
+    KL(0.8), Power(0.5, s=0.5), Berg(2.0),
+    KL(1.0, rho_fn=lambda pts: 0.5 + pts[:, 0])],
+    ids=["kl", "power", "berg", "spatial_kl"])
+def test_hausdorff_builds_its_cross_cost_once(monkeypatch, entropy, power):
+    rng = np.random.default_rng(39)
+    a, b = random_measure(rng, 7, d=3), random_measure(rng, 9, d=3)
+    cost, eps = CostSpec.euclidean_pow(power), 0.4
+    # each self potential extended to the other support through extrapolate
+    pots_a, pots_b = (sinkhorn_entropy(m, cost, entropy, eps, TIGHT).potentials
+                      for m in (a, b))
+    f_on_b = extrapolate(pots_a, "a", a, b.points, cost)
+    g_on_a = extrapolate(pots_b, "a", b, a.points, cost)
+    # the gradients of F_eps on each support, rho read there
+    on_a, on_b = (_entropy_grad_fn(entropy, eps, m) for m in (a, b))
+    expected = (float(a.weights @ (on_a(pots_a.f) - on_a(g_on_a)))
+                - float(b.weights @ (on_b(f_on_b) - on_b(pots_b.f))))
+    inner, calls = CostSpec.pairwise, []
+
+    def recorded(self, xs, ys, out=None):
+        calls.append(len(xs) * len(ys))
+        return inner(self, xs, ys, out)
+
+    monkeypatch.setattr(CostSpec, "pairwise", recorded)
+    value = hausdorff_divergence(a, b, cost, entropy, eps, TIGHT).value
+    # the two self costs and one cross cost
+    assert sorted(calls) == [7 * 7, 7 * 9, 9 * 9]
+    assert value == expected
 
 
 def test_hausdorff_unsupported_for_nonsmooth():

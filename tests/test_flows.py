@@ -215,7 +215,7 @@ def test_cross_solves_warm_start_from_the_target_potential(
                         solve_tol=1e-6, solve_max_iter=2000, mass_rate="eta_r")
     run_flow(state, target, SQ, params, snapshot_every=40)
     reports = [report for *_, report in calls]
-    assert len(reports) == 42 and all(r.converged for r in reports)
+    assert len(reports) == 41 and all(r.converged for r in reports)
     assert sum(r.iterations for r in reports) <= (fg_sweeps
                                                   + g_only_sweeps) // 2
 
@@ -227,13 +227,12 @@ def test_cross_solves_start_from_the_extrapolated_target_potential(
     params = FlowParams(eta_x=3.0, eps=1e-2, entropy=KL(0.1), steps=4,
                         solve_tol=1e-6, mass_rate="eta_r")
     run_flow(state, target, SQ, params, snapshot_every=2)
-    # snapshot 0, steps 0 and 1, snapshot 2, steps 2 and 3, snapshot 4
+    # steps 0 to 3, then the final state; the snapshots solve nothing
     inits = [init for init, *_ in calls]
     g = [pots.g for _, pots, _ in calls]
-    assert inits[0] == "asymptotic"
-    expected = {1: g[0], 2: g[1], 3: 2.0 * g[2] - g[1],
-                # the snapshot already solved step 2
-                4: g[3], 5: 2.0 * g[4] - g[2], 6: 2.0 * g[5] - g[4]}
+    assert len(calls) == 5 and inits[0] == "asymptotic"
+    expected = {1: g[0], 2: 2.0 * g[1] - g[0], 3: 2.0 * g[2] - g[1],
+                4: 2.0 * g[3] - g[2]}
     for k, g_start in expected.items():
         assert inits[k][0] is None and np.array_equal(inits[k][1], g_start)
 
@@ -281,9 +280,9 @@ def test_snapshots_report_every_solve_since_the_last_one(monkeypatch):
                         solve_tol=1e-6, mass_rate="eta_r")
     traj = run_flow(state, target, SQ, params, snapshot_every=2)
     assert [snap.step for snap in traj] == [0, 2, 4, 5]
-    # the target's self solve, then a cross and a self solve per snapshot
-    # and per step
-    sizes = [1 + 2, 2 * 2 + 2, 2 * 2 + 2, 2 + 2]
+    # the target's self solve, then a cross and a self solve per state:
+    # steps 0 to 4 and the final state 5
+    sizes = [1 + 2, 2 * 2, 2 * 2, 2]
     assert sum(sizes) == len(reports)
     ends = np.cumsum(sizes)
     for snap, end, size in zip(traj, ends, sizes):
@@ -294,9 +293,9 @@ def test_snapshots_report_every_solve_since_the_last_one(monkeypatch):
 
 
 def test_a_stop_between_snapshots_shows_in_the_next_one(monkeypatch):
-    # cross solves: snapshot 0, steps 0 and 1, snapshot 2, steps 2 and 3,
-    # snapshot 4; the one of step 2 is cut
-    recorded_reports(monkeypatch, cut=(4,))
+    # cross solves: steps 0 to 3, then the final state 4; the one of
+    # step 3, which no snapshot reads, is cut
+    recorded_reports(monkeypatch, cut=(3,))
     state, target = two_clouds(77, 10)
     params = FlowParams(eta_x=3.0, eps=1e-2, entropy=KL(0.1), steps=4,
                         solve_tol=1e-6, mass_rate="eta_r")
@@ -306,15 +305,50 @@ def test_a_stop_between_snapshots_shows_in_the_next_one(monkeypatch):
 
 
 def test_flow_steps_reuse_the_workspace_buffers(traced_peak):
-    # the costs, kernels and plans of a step are written into the
-    # workspace's buffers, allocated by the first step; what is left are
-    # temporaries, one N x M array at a time
+    # the first step allocates the workspace's five N x M arrays, the costs
+    # and kernels, and writes the plans into the spent kernels; later steps
+    # reuse them, and what is left are temporaries, one N x M array at a
+    # time
     n = 200
     state, target = two_clouds(75, n)
     params = FlowParams(eps=1e-3, entropy=KL(0.1), solve_tol=1e-6,
                         solve_max_iter=2000, mass_rate="eta_r")
     workspace = _FlowWorkspace(target, SQ, params)
-    state = flow_step(state, target, SQ, params, workspace)
-    peak = traced_peak(lambda: flow_step(state, target, SQ, params,
-                                         workspace))
-    assert peak < 2 * n * n * 8
+    states = [state]
+
+    def step():
+        states.append(flow_step(states[-1], target, SQ, params, workspace))
+
+    assert traced_peak(step) < 7.5 * n * n * 8
+    assert traced_peak(step) < 2 * n * n * 8
+
+
+@pytest.mark.parametrize("entropy", [KL(0.1), TV(0.1)], ids=["kl", "tv"])
+def test_snapshots_do_not_move_the_flow(entropy):
+    state, target = two_clouds(78, 12)
+    params = FlowParams(eta_x=3.0, eps=1e-2, entropy=entropy, steps=6,
+                        solve_tol=1e-6, mass_rate="eta_r")
+    finals = [run_flow(state, target, SQ, params, snapshot_every=every)[-1]
+              for every in (1, 2, params.steps)]
+    for final in finals[1:]:
+        assert np.array_equal(final.positions, finals[0].positions)
+        assert np.array_equal(final.r, finals[0].r)
+        assert final.s_eps == finals[0].s_eps
+
+
+@pytest.mark.parametrize("every", [1, 2, 5])
+def test_run_flow_solves_each_state_once(monkeypatch, every):
+    state, target = two_clouds(79, 8)
+    solved = []
+    for name in ("solve", "symmetric_potentials"):
+        def recorded(*args, inner=getattr(uot.divergences, name), name=name,
+                     **kwargs):
+            solved.append("target" if args[0] is target else name)
+            return inner(*args, **kwargs)
+        monkeypatch.setattr(uot.divergences, name, recorded)
+    params = FlowParams(eta_x=3.0, eps=1e-2, entropy=KL(0.1), steps=5,
+                        solve_tol=1e-6, mass_rate="eta_r")
+    run_flow(state, target, SQ, params, snapshot_every=every)
+    assert solved.count("solve") == params.steps + 1
+    assert solved.count("symmetric_potentials") == params.steps + 1
+    assert solved.count("target") == 1

@@ -145,6 +145,15 @@ def test_cost_out_of_the_wrong_shape_raises():
                 spec.grad_x(xs, ys, bad)
 
 
+def test_cost_out_overlapping_a_point_array_raises():
+    # three points in R^3: either point array has the cost's shape, and
+    # writing into it would overwrite coordinates still to be read
+    xs, ys = np.random.default_rng(3).random((2, 3, 3))
+    for out in (xs, ys, ys.T):
+        with pytest.raises(DomainError, match="overlap"):
+            CostSpec().pairwise(xs, ys, out=out)
+
+
 def test_cost_null_supports():
     pts = np.ones((5, 2))
     for spec in (CostSpec.sq_euclidean(), CostSpec.euclidean_pow(1.5)):

@@ -621,6 +621,18 @@ def test_plan_matrix_out_of_the_wrong_shape_raises():
             plan_matrix(pots, a, b, cost, out=bad)
 
 
+def test_plan_matrix_out_overlapping_an_input_raises():
+    a, b, cost = random_pair(np.random.default_rng(57), 6, 6)
+    pots, _ = solve(a, b, cost, KL(1.0), 0.05)
+    # f and g live in the first row and column of a 7 x 7 block
+    block = np.empty((7, 7))
+    block[0, 1:], block[1:, 0] = pots.f, pots.g
+    pots = DualPotentials(block[0, 1:], block[1:, 0], 0.05, KL(1.0))
+    for out in (cost, cost.T, block[:6, :6], block[1:, 1:]):
+        with pytest.raises(DomainError, match="overlap"):
+            plan_matrix(pots, a, b, cost, out=out)
+
+
 def test_plan_matrix_checks_its_inputs():
     # an N x 1 cost used to broadcast into a plan of the right shape
     a, b, cost = random_pair(np.random.default_rng(47), 3, 4)
@@ -803,6 +815,23 @@ def test_solves_keep_their_kernels_in_given_buffers():
     with pytest.raises(DomainError, match="output buffer"):
         solve_symmetric(a, cost_aa, KL(1.0), 0.05, opts,
                         kernel=np.empty((30, 31)))
+
+
+def test_solve_kernels_overlapping_the_cost_or_each_other_raise():
+    a, b, cost = random_pair(np.random.default_rng(58), 6, 6)
+    kernel = np.empty((6, 6))
+    for kernels in ((cost.T, kernel), (kernel, cost), (kernel, kernel),
+                    (kernel.T, kernel)):
+        with pytest.raises(DomainError, match="overlap"):
+            solve(a, b, cost, KL(1.0), 0.05, kernels=kernels)
+
+
+def test_solve_symmetric_kernel_overlapping_the_cost_raises():
+    a, _, _ = random_pair(np.random.default_rng(59), 6, 6)
+    cost = SQ.pairwise(a.points, a.points)
+    for kernel in (cost, cost.T):
+        with pytest.raises(DomainError, match="overlap"):
+            solve_symmetric(a, cost, KL(1.0), 0.05, kernel=kernel)
 
 
 # ---------------------------------------------------------------- translation
