@@ -18,7 +18,7 @@ from .errors import UotError
 from .flows import FlowParams, FlowState, run_flow
 from .measures import CostSpec, load_measure
 from .oracle import run_checks
-from .sinkhorn import INFEASIBLE, SolveOptions, solve
+from .sinkhorn import INFEASIBLE, MAX_ITER, SolveOptions, solve
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -63,6 +63,13 @@ def _emit(payload: dict, args) -> None:
             fh.write(text + "\n")
 
 
+def _warn_max_iter(report) -> None:
+    if report.status == MAX_ITER:
+        print(f"warning: stopped at max_iter after {report.iterations} "
+              f"sweeps, final update {report.final_update:.3g}",
+              file=sys.stderr)
+
+
 def _report_dict(report) -> dict:
     return {"status": report.status, "iterations": report.iterations,
             "final_update": report.final_update}
@@ -104,6 +111,7 @@ def _cmd_solve(args) -> int:
     if report.status == INFEASIBLE:
         print("infeasible", file=sys.stderr)
         return EXIT_INFEASIBLE
+    _warn_max_iter(report)
     payload = pots.to_dict()
     payload["report"] = _report_dict(report)
     _emit(payload, args)
@@ -127,6 +135,7 @@ def _cmd_div(args) -> int:
     if result.report.status == INFEASIBLE:
         print("infeasible", file=sys.stderr)
         return EXIT_INFEASIBLE
+    _warn_max_iter(result.report)
     _emit({"value": result.value, "report": _report_dict(result.report)}, args)
     return EXIT_OK
 
@@ -141,6 +150,7 @@ def _cmd_grad(args) -> int:
     if result.report.status == INFEASIBLE:
         print("infeasible", file=sys.stderr)
         return EXIT_INFEASIBLE
+    _warn_max_iter(result.report)
     payload = {"value": result.value}
     if args.target in ("weights", "both"):
         g = solved.grad_weights()
@@ -187,6 +197,11 @@ def _cmd_flow(args) -> int:
     trajectory = run_flow(FlowState.from_measure(source), target, _cost(args),
                           params, snapshot_every=args.snapshot_every)
     _write_flow_csvs(trajectory, args.out_dir)
+    unconverged = [s.step for s in trajectory if not s.report.converged]
+    if unconverged:
+        print(f"warning: {len(unconverged)} of {len(trajectory)} snapshots "
+              f"did not converge, the first at step {unconverged[0]} (see "
+              "summary.csv)", file=sys.stderr)
     print(f"wrote {len(trajectory)} snapshots to {args.out_dir}")
     return EXIT_OK
 

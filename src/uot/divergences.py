@@ -25,7 +25,7 @@ from typing import Optional
 
 import numpy as np
 
-from .entropies import Entropy, _with_rho
+from .entropies import Entropy
 from .errors import DomainError, UnsupportedEntropyError
 from .measures import CostSpec, DiscreteMeasure
 from .sinkhorn import (CONVERGED, INFEASIBLE, DualPotentials, SolveOptions,
@@ -67,15 +67,12 @@ def dual_value(pots: DualPotentials, alpha: DiscreteMeasure,
     it), so the reported value inherits the dual's stationarity.  Other
     entropies sum :func:`~uot.sinkhorn.plan_matrix`, one O(NM) pass.
     """
-    e, eps = pots.entropy, pots.eps
+    on_a, eps = pots.entropy.at(alpha.points), pots.eps
     mass_prod = alpha.total_mass * beta.total_mass
-    rho_a = e.rho_at(alpha.points)
-    a_term = -float(alpha.weights @ _with_rho(e.conj, -pots.f, rho=rho_a))
-    b_term = -float(beta.weights @ _with_rho(e.conj, -pots.g,
-                                             rho=e.rho_at(beta.points)))
-    if e.smooth:
-        plan_mass = float(alpha.weights @ _with_rho(e.conj_grad, -pots.f,
-                                                    rho=rho_a))
+    a_term = -float(alpha.weights @ on_a.conj(-pots.f))
+    b_term = -float(beta.weights @ pots.entropy.at(beta.points).conj(-pots.g))
+    if on_a.smooth:
+        plan_mass = float(alpha.weights @ on_a.conj_grad(-pots.f))
     else:
         plan_mass = float(np.sum(plan_matrix(pots, alpha, beta, cost)))
     return a_term + b_term - eps * (plan_mass - mass_prod)
@@ -152,9 +149,9 @@ def _term(alpha, beta, cost, entropy, eps, opts, symmetric=False,
     if alpha.is_null or beta.is_null:
         # against the null measure the plan degenerates to 0
         other = beta if alpha.is_null else alpha
-        rho = entropy.rho_at(other.points)
-        value = (other.total_mass * entropy.phi_zero if rho is None
-                 else float(other.weights @ rho))
+        phi_zero = entropy.at(other.points).phi_zero
+        value = (other.total_mass * phi_zero if np.ndim(phi_zero) == 0
+                 else float(other.weights @ phi_zero))
         return _Term(alpha, beta, SolveReport(CONVERGED, 0, 0.0),
                      closed_form=value)
     c_matrix = cost.pairwise(alpha.points, beta.points, out=buffers.cost)
@@ -181,8 +178,8 @@ def _ot_weight_grad(term, side) -> np.ndarray:
     ``(phi*)'(-f)`` at a converged f-half-update, and exist for every
     penalty whose conjugate is finite at ``f`` (TV and Range included)."""
     pot, own, other, plan = term.oriented(side)
-    e = term.pots.entropy
-    conj = _with_rho(e.conj, -pot, rho=e.rho_at(own.points))
+    e = term.pots.entropy.at(own.points)
+    conj = e.conj(-pot)
     if np.any(np.isinf(conj)):
         raise UnsupportedEntropyError(
             f"subgradient unavailable for {e.name} at these potentials")
@@ -310,15 +307,10 @@ def sinkhorn_divergence(alpha: DiscreteMeasure, beta: DiscreteMeasure,
     return solve_terms(alpha, beta, cost, entropy, eps, "s", opts).value()
 
 
-def _entropy_grad_fn(entropy, eps, measure):
-    """x-dependent gradient of F_eps as a function of the symmetric potential."""
-    rho = entropy.rho_at(measure.points)
-
-    def grad(pot):
-        return (_with_rho(entropy.conj, -pot, rho=rho)
-                + eps * _with_rho(entropy.conj_grad, -pot, rho=rho))
-
-    return grad
+def _entropy_grad(entropy, eps, pot):
+    """x-dependent gradient of F_eps at the potential ``pot``, for
+    ``entropy`` bound to pot's atoms."""
+    return entropy.conj(-pot) + eps * entropy.conj_grad(-pot)
 
 
 def hausdorff_divergence(alpha: DiscreteMeasure, beta: DiscreteMeasure,
@@ -342,19 +334,17 @@ def hausdorff_divergence(alpha: DiscreteMeasure, beta: DiscreteMeasure,
     pots_a, pots_b = term_a.pots, term_b.pots
     # each potential extended to the other support by one half-update, as
     # in :func:`~uot.sinkhorn.extrapolate`, on one cross cost
+    on_a, on_b = entropy.at(alpha.points), entropy.at(beta.points)
     c_ab = cost.pairwise(alpha.points, beta.points)
-    f_on_b = half_update(eps, entropy, alpha, pots_a.g, c_ab.T,
-                         rho=entropy.rho_at(beta.points))
-    g_on_a = half_update(eps, entropy, beta, pots_b.g, c_ab,
-                         rho=entropy.rho_at(alpha.points))
+    f_on_b = half_update(eps, on_b, alpha, pots_a.g, c_ab.T)
+    g_on_a = half_update(eps, on_a, beta, pots_b.g, c_ab)
 
-    # <a - b, grad F(a) - grad F(b)> sampled on both supports, with rho
-    # read at the sample points
-    grad_on_a = _entropy_grad_fn(entropy, eps, alpha)
-    grad_on_b = _entropy_grad_fn(entropy, eps, beta)
-    on_a = grad_on_a(pots_a.f) - grad_on_a(g_on_a)
-    on_b = grad_on_b(f_on_b) - grad_on_b(pots_b.f)
-    value = float(alpha.weights @ on_a) - float(beta.weights @ on_b)
+    # <a - b, grad F(a) - grad F(b)> sampled on both supports
+    diff_a = (_entropy_grad(on_a, eps, pots_a.f)
+              - _entropy_grad(on_a, eps, g_on_a))
+    diff_b = (_entropy_grad(on_b, eps, f_on_b)
+              - _entropy_grad(on_b, eps, pots_b.f))
+    value = float(alpha.weights @ diff_a) - float(beta.weights @ diff_b)
     return DivergenceValue(value, None,
                            _worst_report(term_a.report, term_b.report))
 

@@ -25,7 +25,7 @@ berg       eps*W((rho/eps) * exp((rho+p)/eps)) - rho
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Optional
 
 import numpy as np
@@ -39,11 +39,6 @@ _INF = math.inf
 # Relative slack when testing mass equality for the balanced constraint;
 # sums of normalized float weights rarely match bit-for-bit.
 _BALANCED_MASS_RTOL = 1e-9
-
-
-def _with_rho(method, *args, rho=None):
-    """Call an entropy map, passing per-atom strengths only when they vary."""
-    return method(*args) if rho is None else method(*args, rho=rho)
 
 
 def _ext(values, mask_finite, finite_values):
@@ -81,9 +76,10 @@ class Entropy:
     def damp(self, eps: float, p):
         raise NotImplementedError
 
-    def rho_at(self, points: np.ndarray):
-        """Per-atom penalty strengths at ``points``; ``None`` when uniform."""
-        return None
+    def at(self, points: np.ndarray) -> "Entropy":
+        """This penalty with its strengths read at the atoms ``points``,
+        for maps over one value per atom; itself unless they vary in space."""
+        return self
 
     def aprox(self, eps: float, p):
         """The anisotropic proximity operator itself, ``-damp(-p)``.
@@ -173,9 +169,9 @@ class KL(Entropy):
     """Kullback-Leibler penalty ``rho * (p log p - p + 1)``.
 
     ``rho_fn`` optionally makes the strength spatially varying: it maps an
-    ``(n, d)`` array of support points to per-atom ``rho`` values, and the
-    solver threads the resolved vector through ``damp``/``conj`` via their
-    ``rho`` argument.
+    ``(n, d)`` array of support points to per-atom ``rho`` values.  Its maps
+    need it bound to a support by :meth:`at`, which returns a KL whose
+    ``rho`` is the vector of strengths at those atoms.
     """
 
     rho: float = 1.0
@@ -184,52 +180,54 @@ class KL(Entropy):
     smooth = True
 
     def __post_init__(self):
-        if not 0 < self.rho < _INF:
-            raise DomainError("KL requires a finite rho > 0")
+        if not np.all((0 < self.rho) & (self.rho < _INF)):
+            raise DomainError("KL requires finite strengths rho > 0")
 
-    def _rho(self, rho):
-        return self.rho if rho is None else np.asarray(rho, dtype=float)
-
-    def rho_at(self, points: np.ndarray):
+    def at(self, points: np.ndarray) -> "KL":
         if self.rho_fn is None:
-            return None
-        rho = np.asarray(self.rho_fn(points), dtype=float)
-        if not np.all((0 < rho) & (rho < _INF)):
-            raise DomainError("spatially varying rho must stay positive "
-                              "and finite")
-        return rho
+            return self
+        return replace(self, rho=np.asarray(self.rho_fn(points), dtype=float),
+                       rho_fn=None)
 
-    def phi(self, p, rho=None):
+    def _strength(self, values):
+        """``rho`` for a map over ``values``, one per atom if bound."""
+        if self.rho_fn is not None:
+            raise DomainError("a spatially varying KL has no maps until it "
+                              "is bound to a support: call .at(points)")
+        if (isinstance(self.rho, np.ndarray) and self.rho.ndim
+                and self.rho.shape != values.shape):
+            raise DomainError(f"{self.rho.size} bound strengths for values "
+                              f"of shape {values.shape}")
+        return self.rho
+
+    def phi(self, p):
         p = np.asarray(p, dtype=float)
-        r = self._rho(rho)
+        r = self._strength(p)
         with np.errstate(divide="ignore", invalid="ignore"):
             plogp = np.where(p > 0, p * np.log(np.where(p > 0, p, 1.0)), 0.0)
-        vals = r * (plogp - p + 1.0)
-        return _ext(np.broadcast_to(p, vals.shape) if vals.shape else p,
-                    p >= 0, vals)
+        return _ext(p, p >= 0, r * (plogp - p + 1.0))
 
-    def conj(self, q, rho=None):
+    def conj(self, q):
         q = np.asarray(q, dtype=float)
-        r = self._rho(rho)
+        r = self._strength(q)
         return r * (np.exp(q / r) - 1.0)
 
-    def conj_grad(self, q, rho=None):
+    def conj_grad(self, q):
         q = np.asarray(q, dtype=float)
-        return np.exp(q / self._rho(rho))
+        return np.exp(q / self._strength(q))
 
-    def damp(self, eps, p, rho=None):
-        r = self._rho(rho)
-        return (r / (r + eps)) * np.asarray(p, dtype=float)
+    def damp(self, eps, p):
+        p = np.asarray(p, dtype=float)
+        r = self._strength(p)
+        return (r / (r + eps)) * p
 
     @property
     def phi_zero(self):
         return self.rho
 
     def _init(self, eps, self_m, other_m, cost_sub):
-        rho = self.rho_at(self_m.points)
-        r = self.rho if rho is None else rho
-        return np.broadcast_to(-r * math.log(other_m.total_mass),
-                               (len(self_m),)).copy()
+        return np.full(len(self_m), -self.at(self_m.points).rho
+                       * math.log(other_m.total_mass))
 
     def spec_string(self):
         return f"kl:rho={self.rho!r}"
@@ -254,7 +252,9 @@ class TV(Entropy):
         return _ext(q, q <= self.rho, np.maximum(-self.rho, q))
 
     def damp(self, eps, p):
-        return np.clip(np.asarray(p, dtype=float), -self.rho, self.rho)
+        # np.clip's Python wrapper costs more than the two ufuncs here
+        return np.minimum(np.maximum(np.asarray(p, dtype=float), -self.rho),
+                          self.rho)
 
     @property
     def phi_zero(self):
@@ -428,7 +428,7 @@ class Berg(Entropy):
 
 def hellinger(rho: float = 1.0) -> Power:
     """The Hellinger entropy, i.e. the s = 1/2 power entropy."""
-    return Power(rho=rho, s=0.5)
+    return Power(rho, s=0.5)
 
 
 def feasible(entropy: Entropy, mass_a: float, mass_b: float) -> bool:

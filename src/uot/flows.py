@@ -107,6 +107,10 @@ class FlowParams:
                 raise DomainError(f"{name} must be nonnegative and finite")
         if not 0 < self.eps < math.inf:
             raise DomainError("eps must be positive and finite")
+        if self.steps < 0:
+            raise DomainError("steps must be >= 0")
+        # the solver's checks of tol and max_iter, before the flow runs
+        SolveOptions(tol=self.solve_tol, max_iter=self.solve_max_iter)
         if self.mass_rate not in ("printed", "eta_r"):
             raise DomainError("mass_rate must be 'printed' or 'eta_r'")
 

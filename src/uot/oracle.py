@@ -16,7 +16,7 @@ from typing import Callable, Tuple
 import numpy as np
 
 from .divergences import dual_value
-from .entropies import KL, Balanced, Entropy, Range
+from .entropies import Balanced, Entropy, Range
 from .errors import DomainError, FDDomainError
 from .measures import DiscreteMeasure
 from .sinkhorn import DualPotentials, plan_matrix
@@ -26,10 +26,7 @@ _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 def _phi_terms(entropy, ratios, weights, points):
-    if isinstance(entropy, KL) and entropy.rho_fn is not None:
-        vals = entropy.phi(ratios, rho=entropy.rho_at(points))
-    else:
-        vals = entropy.phi(ratios)
+    vals = entropy.at(points).phi(ratios)
     if np.any(np.isinf(vals)):
         return _INF
     return float(weights @ vals)
@@ -176,7 +173,7 @@ class GapReport:
 
 def run_checks(seed: int = 0) -> dict:
     """Self-contained oracle battery; returns a JSON-friendly report."""
-    from .entropies import TV, Berg, Power
+    from .entropies import KL, TV, Berg, Power
     from .lambertw import lambert_w, lambert_w_log
     from .measures import CostSpec
     from .sinkhorn import INFEASIBLE, SolveOptions, solve

@@ -81,8 +81,9 @@ position gradients by up to 5e-5 relative.  The translated input differs
 from the last one by a constant plus the f half-update's change, so the g
 half-update's kernel cache absorbs the step.  On a cold 300 x 300 KL(1)
 solve at ``eps = 1e-3`` it cuts the sweeps from 5306 to 1788.  A spatially
-varying ``rho``, the other entropies and ``solve_symmetric`` (whose two
-potentials are one) keep the plain loop.
+varying ``rho`` (read atom by atom: a solve binds the penalty to each
+support once, ``entropy.at(points)``), the other entropies and
+``solve_symmetric`` (whose two potentials are one) keep the plain loop.
 
 A re-solve whose ``beta`` side is unchanged, the cross solve of each
 particle-flow step, can start from ``g`` alone: an ``init`` of ``(None, g)``
@@ -112,7 +113,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .entropies import KL, Entropy, _with_rho, parse_entropy
+from .entropies import KL, Entropy, parse_entropy
 from .errors import DomainError
 from .measures import CostSpec, DiscreteMeasure, _out_array
 
@@ -154,7 +155,7 @@ def _softmin_rows(eps, log_w, pot, cost, out=None):
     return -eps * (mx + np.log(np.add.reduce(tmp, axis=1))), mx
 
 
-def _half_map(eps, entropy, log_w, cost, rho, kernel=None):
+def _half_map(eps, entropy, log_w, cost, kernel=None):
     """One damped half-update as a map ``pot -> new pot``.
 
     Keeps the kernel of its last exact softmin in one N x M buffer,
@@ -173,10 +174,10 @@ def _half_map(eps, entropy, log_w, cost, rho, kernel=None):
                 d -= lo
                 rows = kernel @ np.exp(d, out=d)
                 smin = -eps * ((mx + lo) + np.log(rows))
-                return _with_rho(entropy.damp, eps, smin, rho=rho)
+                return entropy.damp(eps, smin)
         smin, mx = _softmin_rows(eps, log_w, pot, cost, out=kernel)
         ref = pot.copy()
-        return _with_rho(entropy.damp, eps, smin, rho=rho)
+        return entropy.damp(eps, smin)
     return half
 
 
@@ -200,15 +201,14 @@ def _sup_norm(diff):
 
 
 def half_update(eps: float, entropy: Entropy, m_other: DiscreteMeasure,
-                pot_other: np.ndarray, cost_rows: np.ndarray,
-                rho=None) -> np.ndarray:
+                pot_other: np.ndarray, cost_rows: np.ndarray) -> np.ndarray:
     """One dual half-update: dampened softmin against the other support.
 
-    ``cost_rows[i, j] = C(z_i, w_j)`` with ``z`` the support being updated
-    and ``w`` the support of ``m_other``.  Raises ``DomainError`` unless
-    ``eps`` is positive and finite, ``pot_other`` and the columns of
-    ``cost_rows`` have one entry per atom of ``m_other``, and ``rho`` is
-    ``None`` or has one entry per cost row.
+    ``cost_rows[i, j] = C(z_i, w_j)`` with ``z`` the support being updated,
+    to which ``entropy`` is bound (``entropy.at(z)``), and ``w`` the support
+    of ``m_other``.  Raises ``DomainError`` unless ``eps`` is positive and
+    finite, ``pot_other`` and the columns of ``cost_rows`` have one entry
+    per atom of ``m_other``, and bound strengths one per cost row.
     """
     if m_other.is_null:
         raise DomainError("half update against the null measure")
@@ -221,13 +221,7 @@ def half_update(eps: float, entropy: Entropy, m_other: DiscreteMeasure,
     if cost_rows.ndim != 2 or cost_rows.shape[1] != len(m_other):
         raise DomainError(f"cost rows of shape {cost_rows.shape} against "
                           f"{len(m_other)} atoms")
-    if rho is not None:
-        rho = np.asarray(rho, dtype=float)
-        if rho.shape != (cost_rows.shape[0],):
-            raise DomainError(f"rho of shape {rho.shape} for "
-                              f"{cost_rows.shape[0]} cost rows")
-    return _half_map(eps, entropy, m_other.log_weights, cost_rows, rho)(
-        pot_other)
+    return _half_map(eps, entropy, m_other.log_weights, cost_rows)(pot_other)
 
 
 @dataclass
@@ -373,16 +367,15 @@ def solve(alpha: DiscreteMeasure, beta: DiscreteMeasure, cost: np.ndarray,
     if not entropy.feasible(alpha.total_mass, beta.total_mass):
         return None, SolveReport(INFEASIBLE, 0, np.inf)
 
-    rho_a, rho_b = entropy.rho_at(alpha.points), entropy.rho_at(beta.points)
-    log_a, log_b = alpha.log_weights, beta.log_weights
+    on_a, on_b = entropy.at(alpha.points), entropy.at(beta.points)
     # the g side reads the transposed view only when it rebuilds its kernel,
     # which it writes into its own contiguous buffer
     kernel_g, kernel_f = (None, None) if kernels is None else kernels
-    half_g = _half_map(eps, entropy, log_a, cost.T, rho_b, kernel_g)
-    half_f = _half_map(eps, entropy, log_b, cost, rho_a,
+    half_g = _half_map(eps, on_b, alpha.log_weights, cost.T, kernel_g)
+    half_f = _half_map(eps, on_a, beta.log_weights, cost,
                        _out_array(kernel_f, cost.shape, kernel_g))
-    translate = (_kl_translation(entropy.rho, alpha, beta)
-                 if isinstance(entropy, KL) and rho_a is None else None)
+    translate = (_kl_translation(on_a.rho, alpha, beta)
+                 if isinstance(on_a, KL) and np.ndim(on_a.rho) == 0 else None)
 
     def sweep(fg):
         f, g = fg
@@ -413,8 +406,8 @@ def solve_symmetric(alpha: DiscreteMeasure, cost: np.ndarray, entropy: Entropy,
     """
     opts = opts or SolveOptions()
     cost = _check_entry(alpha, alpha, cost, eps)
-    rho_a, log_a = entropy.rho_at(alpha.points), alpha.log_weights
-    half = _half_map(eps, entropy, log_a, cost, rho_a, kernel)
+    half = _half_map(eps, entropy.at(alpha.points), alpha.log_weights, cost,
+                     kernel)
 
     def sweep(f):
         tf = half(f)
@@ -435,7 +428,7 @@ def symmetric_potentials(alpha: DiscreteMeasure, cost: np.ndarray,
 
 
 def extrapolate(pots: DualPotentials, side: str, m_other: DiscreteMeasure,
-                new_points, cost: CostSpec, rho=None) -> np.ndarray:
+                new_points, cost: CostSpec) -> np.ndarray:
     """Evaluate a converged potential at arbitrary points.
 
     ``side="a"`` extends ``f`` using the optimality map through
@@ -453,9 +446,8 @@ def extrapolate(pots: DualPotentials, side: str, m_other: DiscreteMeasure,
     if pts.ndim == 1:
         pts = pts.reshape(-1, 1)
     rows = cost.pairwise(pts, m_other.points)
-    if rho is None:
-        rho = pots.entropy.rho_at(pts)
-    return half_update(pots.eps, pots.entropy, m_other, pot_other, rows, rho=rho)
+    return half_update(pots.eps, pots.entropy.at(pts), m_other, pot_other,
+                       rows)
 
 
 def plan_matrix(pots: DualPotentials, alpha: DiscreteMeasure,

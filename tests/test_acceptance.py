@@ -303,7 +303,8 @@ def test_criterion_10_operator_property_suite():
             failures.append(f"damp monotone {e.name}")
     for _ in range(4):
         rhos = rng.uniform(0.01, 10.0, 2500)
-        zero = KL(1.0).damp(float(rng.uniform(0.05, 2.0)), np.zeros(2500), rho=rhos)
+        bound = KL(1.0, rho_fn=lambda pts: rhos).at(np.zeros((2500, 1)))
+        zero = bound.damp(float(rng.uniform(0.05, 2.0)), np.zeros(2500))
         if np.any(np.abs(zero) > 1e-12):
             failures.append("damp zero fixed point (kl)")
     for e in entropies:

@@ -202,3 +202,39 @@ def test_grad_matches_the_separate_functions(cloud_files, capsys):
     assert np.array_equal(payload["grad_weights_b"], gw.d_weights_b)
     assert np.array_equal(payload["grad_points_a"], gp.d_points_a)
     assert np.array_equal(payload["grad_points_b"], gp.d_points_b)
+
+
+@pytest.mark.parametrize("command", ["solve", "div", "grad"])
+def test_max_iter_stop_warns_once_and_keeps_exit_0(cloud_files, capsys,
+                                                   command):
+    _, _, (a, b) = cloud_files
+    assert main([command, "--eps", "0.01", a, b]) == 0
+    assert capsys.readouterr().err == ""
+    assert main([command, "--eps", "0.01", "--max-iter", "2", a, b]) == 0
+    captured = capsys.readouterr()
+    assert json.loads(captured.out)["report"]["status"] == "max_iter"
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("warning: ")
+    assert "max_iter" in lines[0]
+
+
+def test_flow_warns_about_unconverged_snapshots(cloud_files, tmp_path, capsys):
+    _, _, (a, b) = cloud_files
+    out = str(tmp_path / "flow")
+    assert main(["flow", "--steps", "2", "--out-dir", out, a, b]) == 0
+    assert capsys.readouterr().err == ""
+    assert main(["flow", "--steps", "2", "--max-iter", "1", "--out-dir", out,
+                 a, b]) == 0
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("warning: ")
+    assert "2 of 2 snapshots" in lines[0]
+
+
+def test_flow_negative_steps_exit_1_naming_them(cloud_files, tmp_path,
+                                                capsys):
+    _, _, (a, b) = cloud_files
+    out = tmp_path / "flow"
+    assert main(["flow", "--steps", "-2", "--out-dir", str(out), a, b]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "steps" in err
+    assert not out.exists()

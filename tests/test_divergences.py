@@ -1,4 +1,5 @@
 import math
+from functools import partial
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from uot import (KL, TV, Balanced, Berg, CostSpec, DiscreteMeasure,
                  UnsupportedEntropyError, dual_value, grad_positions,
                  grad_weights, hausdorff_divergence, ot_eps, plan_matrix,
                  sinkhorn_divergence, sinkhorn_entropy, solve)
-from uot.divergences import _entropy_grad_fn, solve_terms
+from uot.divergences import _entropy_grad, solve_terms
 from uot.sinkhorn import extrapolate
 
 SQ = CostSpec.sq_euclidean()
@@ -256,7 +257,8 @@ def test_hausdorff_builds_its_cross_cost_once(monkeypatch, entropy, power):
     f_on_b = extrapolate(pots_a, "a", a, b.points, cost)
     g_on_a = extrapolate(pots_b, "a", b, a.points, cost)
     # the gradients of F_eps on each support, rho read there
-    on_a, on_b = (_entropy_grad_fn(entropy, eps, m) for m in (a, b))
+    on_a, on_b = (partial(_entropy_grad, entropy.at(m.points), eps)
+                  for m in (a, b))
     expected = (float(a.weights @ (on_a(pots_a.f) - on_a(g_on_a)))
                 - float(b.weights @ (on_b(f_on_b) - on_b(pots_b.f))))
     inner, calls = CostSpec.pairwise, []

@@ -217,10 +217,51 @@ def test_range_zero_lower_bound_degenerates_to_min():
 
 def test_spatially_varying_kl_damp():
     rho = np.array([0.5, 1.0, 2.0])
-    e = KL(1.0, rho_fn=lambda pts: rho)
+    e = KL(1.0, rho_fn=lambda pts: rho).at(np.zeros((3, 1)))
     p = np.array([1.0, 1.0, 1.0])
-    out = e.damp(0.5, p, rho=rho)
+    out = e.damp(0.5, p)
     assert np.allclose(out, rho / (rho + 0.5))
+
+
+VARYING = KL(1.0, rho_fn=lambda pts: 0.5 + pts[:, 0])
+
+
+@pytest.mark.parametrize("call", [
+    lambda e, v: e.damp(0.5, v), lambda e, v: e.conj(v),
+    lambda e, v: e.conj_grad(v), lambda e, v: e.phi(v),
+    lambda e, v: e.aprox(0.5, v)],
+    ids=["damp", "conj", "conj_grad", "phi", "aprox"])
+def test_spatially_varying_kl_maps_need_a_bound_support(call):
+    # unbound, the maps would silently use the scalar rho
+    with pytest.raises(DomainError, match=r"\.at\(points\)"):
+        call(VARYING, np.ones(3))
+    bound = VARYING.at(np.array([[0.0], [1.0], [2.0]]))
+    assert np.array_equal(bound.rho, [0.5, 1.5, 2.5])
+    call(bound, np.ones(3))
+    # a bound strength vector takes one value per atom
+    for values in (np.ones(2), np.ones(1), np.ones(4)):
+        with pytest.raises(DomainError, match="bound strengths"):
+            call(bound, values)
+
+
+def test_at_binds_only_spatially_varying_strengths():
+    points = np.zeros((4, 2))
+    for e in ALL:
+        assert e.at(points) is e
+    bound = VARYING.at(points)
+    assert bound.rho_fn is None and np.array_equal(bound.rho, np.full(4, 0.5))
+    with pytest.raises(DomainError, match="rho"):
+        KL(1.0, rho_fn=lambda pts: np.array([1.0, 0.0, 1.0, 1.0])).at(points)
+
+
+def test_tv_damp_is_bit_identical_to_clip():
+    rng = np.random.default_rng(16)
+    p = np.concatenate([3.0 * rng.standard_normal(1000),
+                        [math.inf, -math.inf, math.nan, -math.nan, -0.0, 0.0]])
+    for rho in (1e-300, 0.3, 1.0, 1e300):
+        expected = np.clip(p, -rho, rho)
+        assert np.array_equal(TV(rho).damp(0.5, p).view(np.uint64),
+                              expected.view(np.uint64))
 
 
 # ---------------------------------------------------------------- feasibility

@@ -141,12 +141,24 @@ def test_half_update_fixed_point_is_stationary(entropy):
 def test_half_update_rejects_mismatched_inputs(n_other, eps, pot, cost_shape,
                                                rho):
     # numpy would broadcast the first, third and fifth, compute the second
-    # and raise its own ValueError on the fourth and sixth
+    # and raise its own ValueError on the fourth and sixth; the last two
+    # bind the penalty to 1 and 2 atoms against 3 cost rows
     m_other = DiscreteMeasure(np.full(n_other, 1.0 / n_other),
                               np.arange(float(n_other))[:, None])
+    entropy = (KL(1.0) if rho is None else
+               KL(1.0, rho_fn=lambda pts: np.array(rho)).at(
+                   np.zeros((len(rho), 1))))
     with pytest.raises(DomainError):
-        half_update(eps, KL(1.0), m_other, np.array(pot), np.ones(cost_shape),
-                    rho=None if rho is None else np.array(rho))
+        half_update(eps, entropy, m_other, np.array(pot), np.ones(cost_shape))
+
+
+def test_half_update_rejects_an_unbound_spatially_varying_penalty():
+    # unbound, the damping would silently use the scalar rho
+    a, b, cost = random_pair(np.random.default_rng(15), 6, 7)
+    entropy = KL(1.0, rho_fn=lambda pts: 0.5 + pts[:, 0])
+    with pytest.raises(DomainError, match=r"\.at\(points\)"):
+        half_update(0.1, entropy, b, np.zeros(7), cost)
+    half_update(0.1, entropy.at(a.points), b, np.zeros(7), cost)
 
 
 def test_half_update_does_not_depend_on_memory_layout():
@@ -208,7 +220,7 @@ NULL = DiscreteMeasure([], [])
     (lambda: sinkhorn_divergence(NULL, NULL, SQ, KL(1.0), NAN), "eps"),
     (lambda: sinkhorn_entropy(NULL, SQ, KL(1.0), INF), "eps"),
     (lambda: KL(NAN), "rho"), (lambda: KL(INF), "rho"),
-    (lambda: KL(rho_fn=lambda x: np.full(len(x), NAN)).rho_at(ONE.points),
+    (lambda: KL(rho_fn=lambda x: np.full(len(x), NAN)).at(ONE.points),
      "rho"),
     (lambda: TV(NAN), "rho"), (lambda: TV(INF), "rho"),
     (lambda: Power(NAN), "rho"), (lambda: Power(1.0, s=NAN), "finite s"),
@@ -218,7 +230,11 @@ NULL = DiscreteMeasure([], [])
     (lambda: CostSpec(scale=NAN), "cost scale"),
     (lambda: FlowParams(eps=NAN), "eps"),
     (lambda: FlowParams(eta_x=NAN), "eta_x"),
-    (lambda: FlowParams(eta_r=INF), "eta_r")])
+    (lambda: FlowParams(eta_r=INF), "eta_r"),
+    (lambda: FlowParams(steps=-2), "steps"),
+    (lambda: FlowParams(solve_tol=NAN), "tol"),
+    (lambda: FlowParams(solve_tol=0.0), "tol"),
+    (lambda: FlowParams(solve_max_iter=0), "max_iter")])
 def test_non_finite_parameters_raise_naming_them(make, name):
     with pytest.raises(DomainError, match=name):
         make()
@@ -707,14 +723,14 @@ def exact_sweep(symmetric, a, b, entropy, eps, f, g):
     """One sweep of the loop through ``half_update``, the exact softmin."""
     if symmetric:
         cost = SQ.pairwise(a.points, a.points)
-        tf = half_update(eps, entropy, a, f, cost, rho=entropy.rho_at(a.points))
+        tf = half_update(eps, entropy.at(a.points), a, f, cost)
         return [0.5 * (f + tf)]
     cost = SQ.pairwise(a.points, b.points)
     if isinstance(entropy, KL) and entropy.rho_fn is None:
         # a uniform KL loop translates the g half-update's input
         f = f + uot.sinkhorn._kl_translation(entropy.rho, a, b)(f, g)
-    g = half_update(eps, entropy, a, f, cost.T, rho=entropy.rho_at(b.points))
-    f = half_update(eps, entropy, b, g, cost, rho=entropy.rho_at(a.points))
+    g = half_update(eps, entropy.at(b.points), a, f, cost.T)
+    f = half_update(eps, entropy.at(a.points), b, g, cost)
     return [f, g]
 
 
