@@ -55,7 +55,10 @@ def _emit(payload: dict, args) -> None:
         if out is not sys.stdout:
             out.close()
         return
-    text = json.dumps(payload, indent=2)
+    # one top-level key a line, each value encoded without indent=, which
+    # would select json's pure-Python encoder over its C one
+    text = "{\n" + ",\n".join(f"  {json.dumps(key)}: {json.dumps(val)}"
+                               for key, val in payload.items()) + "\n}"
     if args.output is None:
         print(text)
     else:

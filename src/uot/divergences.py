@@ -14,12 +14,19 @@ Values and gradients are read from one bundle of solves (``_Solved``,
 built by :func:`solve_terms`), which alone implements the ``S_eps``
 combination, ``F_eps`` and both envelope gradients; the public functions
 below, the CLI and the particle flow only read from it.
+
+The gradients read two reductions of each term's plan per side: its row
+sums and the cost-gradient contraction ``sum_j pi_ij grad_x C``.  A term
+keeps those, not its plan: it builds the plan on the first side read and
+drops it once every side it has is read, and the bundle reads both sides
+of the cross term before a self term, so an ``S_eps`` gradient holds the
+three costs and one plan at a time.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import Optional
 
@@ -29,8 +36,8 @@ from .entropies import Entropy
 from .errors import DomainError, UnsupportedEntropyError
 from .measures import CostSpec, DiscreteMeasure
 from .sinkhorn import (CONVERGED, INFEASIBLE, DualPotentials, SolveOptions,
-                       SolveReport, _check_eps, half_update, plan_matrix,
-                       solve, symmetric_potentials)
+                       SolveReport, _check_eps, _check_unbound, half_update,
+                       plan_matrix, solve, symmetric_potentials)
 
 _INF = math.inf
 
@@ -90,7 +97,8 @@ class _Buffers:
     """The arrays a term writes into instead of allocating them: its cost
     and its half-update kernels (``(g, f)`` for a cross solve, one for a
     symmetric solve), the last of which takes the plan once the solve is
-    done with it.  ``None`` entries are allocated on use."""
+    done with it; the term keeps the plan's reductions, not the plan.
+    ``None`` entries are allocated on use."""
 
     cost: Optional[np.ndarray] = None
     kernels: tuple = (None, None)
@@ -103,7 +111,8 @@ _FRESH = _Buffers()
 class _Term:
     """``OT_eps(alpha, beta)`` and its solve.  Null measures and infeasible
     instances are not solved: ``pots`` stays ``None`` and the value is
-    ``closed_form``."""
+    ``closed_form``.  A solved term keeps the reductions of its plan that
+    the gradients read, side by side, not the plan itself."""
 
     alpha: DiscreteMeasure
     beta: DiscreteMeasure
@@ -112,6 +121,9 @@ class _Term:
     cost: Optional[np.ndarray] = None
     closed_form: float = 0.0
     buffers: _Buffers = _FRESH
+    symmetric: bool = False
+    _plan: Optional[np.ndarray] = field(default=None, repr=False)
+    _sides: dict = field(default_factory=dict, repr=False)
 
     @cached_property
     def ot(self) -> float:
@@ -119,20 +131,36 @@ class _Term:
             return self.closed_form
         return dual_value(self.pots, self.alpha, self.beta, self.cost)
 
-    @cached_property
-    def plan(self) -> np.ndarray:
-        if self.pots is None:
-            raise DomainError("gradients need non-null measures and a "
-                              "feasible instance")
-        return plan_matrix(self.pots, self.alpha, self.beta, self.cost,
-                           out=self.buffers.kernels[-1])
-
     def oriented(self, side):
-        """Potential, own and other measure, and the plan with the own
-        atoms as rows, for side ``"a"`` or ``"b"``."""
+        """Potential, own and other measure for side ``"a"`` or ``"b"``."""
         if side == "a":
-            return self.pots.f, self.alpha, self.beta, self.plan
-        return self.pots.g, self.beta, self.alpha, self.plan.T
+            return self.pots.f, self.alpha, self.beta
+        return self.pots.g, self.beta, self.alpha
+
+    def reductions(self, side, cost: CostSpec):
+        """The plan's row sums and ``sum_j pi_ij grad_x C(x_i, y_j)`` (by
+        :meth:`~uot.measures.CostSpec.grad_x`), with side ``"a"``'s atoms
+        (the plan) or side ``"b"``'s (its transpose) as rows.
+
+        The plan is built on the first side read, into the term's last
+        kernel buffer if it has one, and dropped once every side the term
+        has is read: two for a cross term, one for a symmetric term.
+        """
+        if side not in self._sides:
+            if self.pots is None:
+                raise DomainError("gradients need non-null measures and a "
+                                  "feasible instance")
+            if self._plan is None:
+                self._plan = plan_matrix(self.pots, self.alpha, self.beta,
+                                         self.cost,
+                                         out=self.buffers.kernels[-1])
+            plan = self._plan if side == "a" else self._plan.T
+            _, own, other = self.oriented(side)
+            self._sides[side] = (plan.sum(axis=1),
+                                 cost.grad_x(own.points, other.points, plan))
+            if len(self._sides) >= (1 if self.symmetric else 2):
+                self._plan = None
+        return self._sides[side]
 
 
 def _term(alpha, beta, cost, entropy, eps, opts, symmetric=False,
@@ -141,6 +169,7 @@ def _term(alpha, beta, cost, entropy, eps, opts, symmetric=False,
     for its single potential (``beta`` is ``alpha``).  Its arrays go into
     ``buffers``."""
     _check_eps(eps)
+    _check_unbound(entropy)
     if alpha.is_null and beta.is_null:
         return _Term(alpha, beta, SolveReport(CONVERGED, 0, 0.0))
     if not entropy.feasible(alpha.total_mass, beta.total_mass):
@@ -161,7 +190,8 @@ def _term(alpha, beta, cost, entropy, eps, opts, symmetric=False,
     else:
         pots, report = solve(alpha, beta, c_matrix, entropy, eps, opts,
                              kernels=buffers.kernels)
-    return _Term(alpha, beta, report, pots, c_matrix, buffers=buffers)
+    return _Term(alpha, beta, report, pots, c_matrix, buffers=buffers,
+                 symmetric=symmetric)
 
 
 def _entropy_value(term, entropy, eps) -> float:
@@ -172,26 +202,20 @@ def _entropy_value(term, entropy, eps) -> float:
     return -0.5 * term.ot + 0.5 * eps * mass * mass
 
 
-def _ot_weight_grad(term, side) -> np.ndarray:
+def _ot_weight_grad(term, side, cost) -> np.ndarray:
     """Envelope gradient of OT_eps in one side's weights,
     ``-phi*(-f) - eps*(pi 1 / a - m(other))``.  The plan's row sums equal
     ``(phi*)'(-f)`` at a converged f-half-update, and exist for every
     penalty whose conjugate is finite at ``f`` (TV and Range included)."""
-    pot, own, other, plan = term.oriented(side)
+    pot, own, other = term.oriented(side)
     e = term.pots.entropy.at(own.points)
     conj = e.conj(-pot)
     if np.any(np.isinf(conj)):
         raise UnsupportedEntropyError(
             f"subgradient unavailable for {e.name} at these potentials")
-    return -conj - term.pots.eps * (plan.sum(axis=1) / own.weights
+    row_sums, _ = term.reductions(side, cost)
+    return -conj - term.pots.eps * (row_sums / own.weights
                                     - other.total_mass)
-
-
-def _ot_position_grad(term, side, cost) -> np.ndarray:
-    """Envelope gradient through the cost, ``sum_j pi_ij grad_x C(x_i, y_j)``,
-    contracted by :meth:`~uot.measures.CostSpec.grad_x`."""
-    _, own, other, plan = term.oriented(side)
-    return cost.grad_x(own.points, other.points, plan)
 
 
 @dataclass
@@ -222,32 +246,40 @@ class _Solved:
 
     def weight_grad(self, side: str) -> np.ndarray:
         """Gradient in the weights of side ``"a"`` or ``"b"``."""
-        grad = _ot_weight_grad(self.cross, side)
+        grad = _ot_weight_grad(self.cross, side, self.cost)
         own_term = self.self_a if side == "a" else self.self_b
         if own_term is not None:
-            _, own, other, _ = self.cross.oriented(side)
-            grad = (grad - _ot_weight_grad(own_term, "a")
+            _, own, other = self.cross.oriented(side)
+            grad = (grad - _ot_weight_grad(own_term, "a", self.cost)
                     + self.eps * (own.total_mass - other.total_mass))
         return grad
 
     def position_grad(self, side: str) -> np.ndarray:
-        """Gradient in the positions of side ``"a"`` or ``"b"``."""
-        grad = _ot_position_grad(self.cross, side, self.cost)
+        """Gradient in the positions of side ``"a"`` or ``"b"``: the
+        envelope gradient through the cost of each term."""
+        grad = self.cross.reductions(side, self.cost)[1]
         own_term = self.self_a if side == "a" else self.self_b
         if own_term is not None:
-            grad = grad - _ot_position_grad(own_term, "a", self.cost)
+            grad = grad - own_term.reductions("a", self.cost)[1]
         return grad
+
+    def _both_sides(self, grad):
+        """``grad("a"), grad("b")``, once both cross sides are read, so the
+        cross plan is dropped before a self term builds its own."""
+        for side in "ab":
+            self.cross.reductions(side, self.cost)
+        return grad("a"), grad("b")
 
     def grad_weights(self) -> Gradients:
         if not self.entropy.smooth:
             raise UnsupportedEntropyError(
                 f"weight gradients undefined for {self.entropy.name}")
-        return Gradients(d_weights_a=self.weight_grad("a"),
-                         d_weights_b=self.weight_grad("b"))
+        d_a, d_b = self._both_sides(self.weight_grad)
+        return Gradients(d_weights_a=d_a, d_weights_b=d_b)
 
     def grad_positions(self) -> Gradients:
-        return Gradients(d_points_a=self.position_grad("a"),
-                         d_points_b=self.position_grad("b"))
+        d_a, d_b = self._both_sides(self.position_grad)
+        return Gradients(d_points_a=d_a, d_points_b=d_b)
 
 
 def _self_opts(opts):

@@ -81,6 +81,13 @@ class Entropy:
         for maps over one value per atom; itself unless they vary in space."""
         return self
 
+    @property
+    def bound(self) -> bool:
+        """Whether the strengths are per atom, as :meth:`at` returns them
+        for a spatially varying penalty.  The solvers bind a penalty to
+        each support themselves, so they reject a bound one."""
+        return False
+
     def aprox(self, eps: float, p):
         """The anisotropic proximity operator itself, ``-damp(-p)``.
 
@@ -188,6 +195,10 @@ class KL(Entropy):
             return self
         return replace(self, rho=np.asarray(self.rho_fn(points), dtype=float),
                        rho_fn=None)
+
+    @property
+    def bound(self):
+        return np.ndim(self.rho) > 0
 
     def _strength(self, values):
         """``rho`` for a map over ``values``, one per atom if bound."""

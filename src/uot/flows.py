@@ -29,7 +29,8 @@ snapshot, the steps between included, so no ``max_iter`` stop goes unseen.
 
 The particle count is fixed within a flow, so the flow's workspace
 allocates every N x M array of a step once: the cross and self costs and
-the three half-update kernels, each term's last kernel taking its plan.
+the three half-update kernels, each term's last kernel taking its plan,
+which the term reduces to the particles' side and does not keep.
 Freshly allocated, those arrays went back to the operating system after
 every step and were paged in again on the next: about 500 minor page
 faults a step on criterion 12's flows (a 2-core x86 VM, numpy 2.4, glibc),
@@ -127,7 +128,9 @@ _EXP_CLIP = 200.0
 class _FlowWorkspace:
     """Per-run cache: the warm starts (the last two target potentials); the
     target's self term; the last bundle solved; the reports since the last
-    snapshot; and a step's N x M arrays (see the module docstring)."""
+    snapshot; and a step's N x M arrays (see the module docstring).  Each
+    term's plan lands in its last kernel buffer, and the term keeps only
+    the reductions the step reads, the particles' side of each plan."""
 
     def __init__(self, target: DiscreteMeasure, cost: CostSpec, params: FlowParams):
         self.target = target

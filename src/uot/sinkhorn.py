@@ -115,7 +115,7 @@ import numpy as np
 
 from .entropies import KL, Entropy, parse_entropy
 from .errors import DomainError
-from .measures import CostSpec, DiscreteMeasure, _out_array
+from .measures import CostSpec, DiscreteMeasure, _out_array, _row_blocks
 
 CONVERGED = "converged"
 MAX_ITER = "max_iter"
@@ -265,7 +265,9 @@ class SolveReport:
 
 @dataclass
 class DualPotentials:
-    """Dual vectors sampled on the two supports; encodes the implicit plan."""
+    """Dual vectors sampled on the two supports; encodes the implicit plan.
+    ``entropy`` is unbound, as in :func:`solve`: its readers bind it to
+    each support."""
 
     f: np.ndarray
     g: np.ndarray
@@ -273,6 +275,7 @@ class DualPotentials:
     entropy: Entropy
 
     def __post_init__(self):
+        _check_unbound(self.entropy)
         self.f = np.asarray(self.f, dtype=float)
         self.g = np.asarray(self.g, dtype=float)
         if not (np.all(np.isfinite(self.f)) and np.all(np.isfinite(self.g))):
@@ -291,6 +294,14 @@ class DualPotentials:
 def _check_eps(eps):
     if not 0 < eps < math.inf:
         raise DomainError("eps must be positive and finite")
+
+
+def _check_unbound(entropy):
+    if entropy.bound:
+        raise DomainError(f"this {entropy.name} penalty has per-atom "
+                          "strengths, bound to one support by .at(points); "
+                          "pass the unbound penalty, which a solve binds to "
+                          "each support itself")
 
 
 def _check_entry(alpha, beta, cost, eps):
@@ -355,6 +366,9 @@ def solve(alpha: DiscreteMeasure, beta: DiscreteMeasure, cost: np.ndarray,
     g-then-f order; the loop stops when ``max(|df|, |dg|)`` drops below
     ``opts.tol`` (measured in the sup norm) or after ``opts.max_iter``
     full sweeps.  A ``(None, g)`` init starts from ``f = half_f(g)``.
+    ``entropy`` is unbound: the solve reads its strengths at each support,
+    and a penalty that :meth:`~uot.entropies.Entropy.at` bound to atoms
+    raises ``DomainError``.
 
     ``kernels``, if given, is a pair of float arrays of shapes ``(M, N)``
     and ``(N, M)``, for ``N`` atoms in ``alpha`` and ``M`` in ``beta``,
@@ -364,6 +378,7 @@ def solve(alpha: DiscreteMeasure, beta: DiscreteMeasure, cost: np.ndarray,
     """
     opts = opts or SolveOptions()
     cost = _check_entry(alpha, beta, cost, eps)
+    _check_unbound(entropy)
     if not entropy.feasible(alpha.total_mass, beta.total_mass):
         return None, SolveReport(INFEASIBLE, 0, np.inf)
 
@@ -406,6 +421,7 @@ def solve_symmetric(alpha: DiscreteMeasure, cost: np.ndarray, entropy: Entropy,
     """
     opts = opts or SolveOptions()
     cost = _check_entry(alpha, alpha, cost, eps)
+    _check_unbound(entropy)
     half = _half_map(eps, entropy.at(alpha.points), alpha.log_weights, cost,
                      kernel)
 
@@ -459,21 +475,36 @@ def plan_matrix(pots: DualPotentials, alpha: DiscreteMeasure,
 
     Entries below ``e^-700`` (about 1e-304) are exactly 0.  Inputs are
     checked as in :func:`solve`, and ``f`` and ``g`` need one entry per atom.
+    The plan is built row block by row block, each entry rounded on its
+    own, so the only temporaries are one block's log weights and mask.
     """
     cost = _check_entry(alpha, beta, cost, pots.eps)
     if (pots.f.shape, pots.g.shape) != ((len(alpha),), (len(beta),)):
         raise DomainError("potentials need one entry per atom")
     pi = _out_array(out, (len(alpha), len(beta)), cost, pots.f, pots.g)
-    # rounded as (log a (+) log b) + (f (+) g - C) / eps: the log weights
-    # are one outer sum, added last
-    np.add.outer(pots.f, pots.g, out=pi)
-    pi -= cost
-    pi /= pots.eps
-    pi += np.add.outer(alpha.log_weights, beta.log_weights)
-    below = pi < _EXP_FLOOR
-    np.maximum(pi, _EXP_FLOOR, out=pi)
-    np.exp(pi, out=pi)
-    np.copyto(pi, 0.0, where=below)
+    log_a, log_b = alpha.log_weights, beta.log_weights
+    rows, blocks = _row_blocks(*pi.shape)
+    # one block's log a (+) log b and mask of entries below the floor
+    log_ab = np.empty((rows, len(beta)))
+    below = np.empty((rows, len(beta)), dtype=bool)
+    for sl in blocks:
+        block = pi[sl]
+        k = len(block)
+        # rounded as (log a (+) log b) + (f (+) g - C) / eps: the log
+        # weights are one outer sum, added last.  Each outer sum is a copy
+        # and one broadcast add, which takes half the ufunc buffers of
+        # np.add.outer
+        np.copyto(block, pots.g)
+        block += pots.f[sl, None]
+        block -= cost[sl]
+        block /= pots.eps
+        np.copyto(log_ab[:k], log_b)
+        log_ab[:k] += log_a[sl, None]
+        block += log_ab[:k]
+        np.less(block, _EXP_FLOOR, out=below[:k])
+        np.maximum(block, _EXP_FLOOR, out=block)
+        np.exp(block, out=block)
+        np.copyto(block, 0.0, where=below[:k])
     return pi
 
 

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+import uot.cli
 import uot.divergences
 from uot import (KL, CostSpec, DiscreteMeasure, grad_positions, grad_weights,
                  sinkhorn_divergence)
@@ -136,6 +137,26 @@ def test_check_command(tmp_path):
     assert code == 0
     report = json.loads(out.read_text())
     assert report["all_passed"] is True
+
+
+@pytest.mark.parametrize("command", ["grad", "check"])
+def test_json_output_is_the_payload_one_key_a_line(cloud_files, tmp_path,
+                                                   monkeypatch, command):
+    emitted = []
+    inner = uot.cli._emit
+
+    def recording(payload, args):
+        emitted.append(payload)
+        inner(payload, args)
+
+    monkeypatch.setattr(uot.cli, "_emit", recording)
+    out = tmp_path / "out.json"
+    argv = (["grad", "--which", "s", "--target", "both", *cloud_files[2]]
+            if command == "grad" else ["check", "--seed", "0"])
+    assert main(argv + ["-o", str(out)]) == 0
+    text = out.read_text()
+    assert json.loads(text) == emitted[0]
+    assert len(text.splitlines()) == len(emitted[0]) + 2
 
 
 def test_outputs_are_deterministic(dirac_files, tmp_path):

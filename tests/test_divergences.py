@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from uot import (KL, TV, Balanced, Berg, CostSpec, DiscreteMeasure,
-                 DomainError, Power, Range, SolveOptions,
+                 DomainError, DualPotentials, Power, Range, SolveOptions,
                  UnsupportedEntropyError, dual_value, grad_positions,
                  grad_weights, hausdorff_divergence, ot_eps, plan_matrix,
                  sinkhorn_divergence, sinkhorn_entropy, solve)
@@ -45,6 +45,28 @@ def test_ot_eps_identical_diracs_balanced_is_zero():
     a, b = dirac_pair(0.0)
     res = ot_eps(a, b, SQ, Balanced(), 1.0)
     assert res.value == pytest.approx(0.0, abs=1e-12)
+
+
+def test_entry_points_reject_a_penalty_bound_to_atoms():
+    # a bound penalty would read one support's strengths on the other,
+    # and its phi(0) against the null measure is a vector
+    rng = np.random.default_rng(62)
+    a, b = random_measure(rng, 2, d=1), random_measure(rng, 2, d=1)
+    varying = KL(0.5, rho_fn=lambda pts: 0.5 + pts[:, 0])
+    null = DiscreteMeasure([], [])
+    for call in (lambda: ot_eps(null, b, SQ, varying.at(b.points), 0.1),
+                 lambda: ot_eps(a, b, SQ, varying.at(a.points), 0.1),
+                 lambda: sinkhorn_divergence(a, b, SQ, varying.at(a.points),
+                                             0.1),
+                 lambda: sinkhorn_entropy(a, SQ, varying.at(a.points), 0.1),
+                 lambda: grad_weights(a, b, SQ, varying.at(a.points), 0.1),
+                 lambda: dual_value(DualPotentials(np.zeros(2), np.zeros(2),
+                                                   0.1, varying.at(a.points)),
+                                    a, b, SQ.pairwise(a.points, b.points))):
+        with pytest.raises(DomainError, match="unbound penalty"):
+            call()
+    assert ot_eps(null, b, SQ, varying, 0.1).value == pytest.approx(
+        float(b.weights @ (0.5 + b.points[:, 0])))
 
 
 def test_ot_eps_null_measure_closed_forms():
@@ -431,15 +453,32 @@ def test_position_gradient_matches_the_tensor_contraction(d):
 
 def test_position_gradients_build_no_cost_gradient_tensor(traced_peak):
     # each contraction is a row sum and a matrix product with the plan; the
-    # N x M x 2 tensor of cost gradients took 2 N x M arrays
+    # N x M x 2 tensor of cost gradients took 2 N x M arrays.  The first
+    # side read builds the plan, which the cross term keeps for the other
     n = 300
     rng = np.random.default_rng(61)
     a, b = random_measure(rng, n), random_measure(rng, n)
-    bundle = solve_terms(a, b, SQ, KL(1.0), 0.1, "s")
-    for term in (bundle.cross, bundle.self_a, bundle.self_b):
-        assert term.plan.shape == (n, n)
-    peak = traced_peak(bundle.grad_positions)
-    assert peak < 0.25 * n * n * 8
+    for first, second in (("a", "b"), ("b", "a")):
+        cross = solve_terms(a, b, SQ, KL(1.0), 0.1, "ot").cross
+        cross.reductions(first, SQ)
+        peak = traced_peak(lambda: cross.reductions(second, SQ))
+        assert peak < 0.25 * n * n * 8
+
+
+def test_gradients_hold_one_plan_at_a_time(traced_peak):
+    # three costs and one plan: each term reduces its plan side by side and
+    # drops it before the next term builds its own; terms that kept their
+    # plans would hold about 7 N x M arrays
+    n = 300
+    rng = np.random.default_rng(61)
+    a, b = random_measure(rng, n), random_measure(rng, n)
+
+    def gradients():
+        bundle = solve_terms(a, b, SQ, KL(1.0), 0.1, "s")
+        bundle.grad_weights()
+        bundle.grad_positions()
+
+    assert traced_peak(gradients) < 4.5 * n * n * 8
 
 
 def test_divergence_position_gradient_vanishes_at_equal_measures():

@@ -8,6 +8,7 @@ from hypothesis.extra import numpy as hnp
 
 from uot import (CostSpec, DiscreteMeasure, DomainError, InvalidMeasureError,
                  cost_matrix, load_measure, new_measure, total_mass)
+from uot.measures import _row_blocks
 
 
 def test_zero_weight_atoms_are_stripped():
@@ -127,6 +128,24 @@ def test_cost_matches_the_tensor_formula(d):
         assert np.max(np.abs(got_grad - ref_grad)) <= 1e-13 * np.max(
             np.abs(ref_grad))
         assert np.all(np.diag(spec.pairwise(xs, xs)) == 0.0)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("n,m", [(130, 400), (3, 70_000)])
+def test_blocked_cost_is_bit_identical_to_one_pass(n, m, d):
+    # several row blocks with a ragged last one, and rows longer than a
+    # block, which go one row a block
+    rows, blocks = _row_blocks(n, m)
+    assert len(blocks) > 2 and (rows == 1 if m > 2 ** 16 else n % rows)
+    rng = np.random.default_rng(n + d)
+    xs, ys = rng.standard_normal((n, d)), rng.standard_normal((m, d))
+    sq = zero_start_sq_distances(xs, ys)
+    for spec in (CostSpec.sq_euclidean(), CostSpec.sq_euclidean(0.5),
+                 CostSpec.euclidean_pow(1.5, 2.0)):
+        ref = powered(spec, sq)
+        assert np.array_equal(spec.pairwise(xs, ys), ref)
+        out = np.full(ref.shape, np.nan)
+        assert np.array_equal(spec.pairwise(xs, ys, out=out), ref)
 
 
 def test_cost_out_of_the_wrong_shape_raises():

@@ -10,6 +10,7 @@ from uot import (KL, TV, Balanced, Berg, CostSpec, DiscreteMeasure,
                  half_update, implicit_plan, ot_eps, plan_matrix,
                  sinkhorn_divergence, sinkhorn_entropy, softmin, solve,
                  solve_symmetric)
+from uot.measures import _row_blocks
 
 SQ = CostSpec.sq_euclidean()
 
@@ -159,6 +160,24 @@ def test_half_update_rejects_an_unbound_spatially_varying_penalty():
     with pytest.raises(DomainError, match=r"\.at\(points\)"):
         half_update(0.1, entropy, b, np.zeros(7), cost)
     half_update(0.1, entropy.at(a.points), b, np.zeros(7), cost)
+
+
+def test_solvers_reject_a_penalty_bound_to_atoms():
+    # bound to a's atoms, the g half-update would read a's strengths on
+    # b's atoms and reach another fixed point
+    a, b, cost = random_pair(np.random.default_rng(16), 2, 2, d=1)
+    varying = KL(0.5, rho_fn=lambda pts: 0.5 + pts[:, 0])
+    with pytest.raises(DomainError, match="unbound penalty"):
+        solve(a, b, cost, varying.at(a.points), 0.1)
+    with pytest.raises(DomainError, match="unbound penalty"):
+        solve_symmetric(a, SQ.pairwise(a.points, a.points),
+                        varying.at(a.points), 0.1)
+    pots, report = solve(a, b, cost, varying, 0.1)
+    assert report.converged
+    # the bound penalty still serves the maps of one support; the solve's
+    # cached kernel rounds differently
+    f = half_update(0.1, varying.at(a.points), b, pots.g, cost)
+    assert np.max(np.abs(f - pots.f)) <= 1e-12
 
 
 def test_half_update_does_not_depend_on_memory_layout():
@@ -625,6 +644,30 @@ def test_plan_entries_below_the_exp_floor_are_zero():
     ref = np.where(kept, np.exp(log_plan), 0.0)
     plan = implicit_plan(pots, a, b, cost)
     assert np.array_equal(plan.weights, ref[ref > 0.0])
+
+
+def unblocked_plan(pots, a, b, cost):
+    """The plan in one N x M pass, with its two N x M temporaries."""
+    pi = (np.add.outer(pots.f, pots.g) - cost) / pots.eps
+    pi += np.add.outer(a.log_weights, b.log_weights)
+    return np.where(pi < -700.0, 0.0, np.exp(np.maximum(pi, -700.0)))
+
+
+@pytest.mark.parametrize("n,m", [(130, 400), (3, 70_000)])
+def test_blocked_plan_is_bit_identical_to_one_pass(n, m):
+    # several row blocks with a ragged last one, and rows longer than a
+    # block, which go one row a block
+    rows, blocks = _row_blocks(n, m)
+    assert len(blocks) > 2 and (rows == 1 if m > 2 ** 16 else n % rows)
+    rng = np.random.default_rng(n)
+    a, b, cost = random_pair(rng, n, m)
+    pots = DualPotentials(0.01 * rng.standard_normal(n),
+                          0.01 * rng.standard_normal(m), 1e-3, KL(0.1))
+    ref = unblocked_plan(pots, a, b, cost)
+    assert np.any(ref == 0.0) and np.any(ref > 0.0)
+    assert np.array_equal(plan_matrix(pots, a, b, cost), ref)
+    out = np.full(cost.shape, np.nan)
+    assert np.array_equal(plan_matrix(pots, a, b, cost, out=out), ref)
 
 
 def test_plan_matrix_out_of_the_wrong_shape_raises():
