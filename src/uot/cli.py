@@ -155,14 +155,16 @@ def _cmd_grad(args) -> int:
         return EXIT_INFEASIBLE
     _warn_max_iter(result.report)
     payload = {"value": result.value}
+    # positions first: their reductions keep the row sums the weight
+    # gradients read, so each plan is built once
+    g_pos = solved.grad_positions() if args.target != "weights" else None
     if args.target in ("weights", "both"):
         g = solved.grad_weights()
         payload["grad_weights_a"] = g.d_weights_a.tolist()
         payload["grad_weights_b"] = g.d_weights_b.tolist()
-    if args.target in ("positions", "both"):
-        g = solved.grad_positions()
-        payload["grad_points_a"] = g.d_points_a.tolist()
-        payload["grad_points_b"] = g.d_points_b.tolist()
+    if g_pos is not None:
+        payload["grad_points_a"] = g_pos.d_points_a.tolist()
+        payload["grad_points_b"] = g_pos.d_points_b.tolist()
     payload["report"] = _report_dict(result.report)
     _emit(payload, args)
     return EXIT_OK

@@ -16,11 +16,11 @@ combination, ``F_eps`` and both envelope gradients; the public functions
 below, the CLI and the particle flow only read from it.
 
 The gradients read two reductions of each term's plan per side: its row
-sums and the cost-gradient contraction ``sum_j pi_ij grad_x C``.  A term
-keeps those, not its plan: it builds the plan on the first side read and
-drops it once every side it has is read, and the bundle reads both sides
-of the cross term before a self term, so an ``S_eps`` gradient holds the
-three costs and one plan at a time.
+sums (weights) and the cost-gradient contraction ``sum_j pi_ij grad_x C``
+(positions).  A term keeps those, not its plan: it builds the plan when a
+side lacks what is read and drops it once every side it has is reduced,
+and the bundle reduces both sides of the cross term before a self term,
+so an ``S_eps`` gradient holds the three costs and one plan at a time.
 """
 
 from __future__ import annotations
@@ -121,8 +121,8 @@ class _Term:
     cost: Optional[np.ndarray] = None
     closed_form: float = 0.0
     buffers: _Buffers = _FRESH
-    symmetric: bool = False
     _plan: Optional[np.ndarray] = field(default=None, repr=False)
+    _unread: set = field(default_factory=set, repr=False)
     _sides: dict = field(default_factory=dict, repr=False)
 
     @cached_property
@@ -137,16 +137,20 @@ class _Term:
             return self.pots.f, self.alpha, self.beta
         return self.pots.g, self.beta, self.alpha
 
-    def reductions(self, side, cost: CostSpec):
-        """The plan's row sums and ``sum_j pi_ij grad_x C(x_i, y_j)`` (by
-        :meth:`~uot.measures.CostSpec.grad_x`), with side ``"a"``'s atoms
-        (the plan) or side ``"b"``'s (its transpose) as rows.
+    def reductions(self, side, cost: Optional[CostSpec] = None):
+        """The plan's row sums and, given ``cost``, ``sum_j pi_ij grad_x
+        C(x_i, y_j)`` (by :meth:`~uot.measures.CostSpec.grad_x`; else
+        ``None``), with side ``"a"``'s atoms (the plan) or side ``"b"``'s
+        (its transpose) as rows.
 
-        The plan is built on the first side read, into the term's last
-        kernel buffer if it has one, and dropped once every side the term
-        has is read: two for a cross term, one for a symmetric term.
+        The plan is built when a side lacks what is asked, into the term's
+        last kernel buffer if it has one, and dropped once it has served
+        every side the term has: two, or one when ``alpha`` is ``beta``.
+        Row sums are kept whenever the plan is read, so reading positions
+        before weights builds each plan once.
         """
-        if side not in self._sides:
+        sums, contraction = self._sides.get(side, (None, None))
+        if sums is None or (cost is not None and contraction is None):
             if self.pots is None:
                 raise DomainError("gradients need non-null measures and a "
                                   "feasible instance")
@@ -154,11 +158,16 @@ class _Term:
                 self._plan = plan_matrix(self.pots, self.alpha, self.beta,
                                          self.cost,
                                          out=self.buffers.kernels[-1])
+                self._unread = {"a"} if self.alpha is self.beta else {"a", "b"}
             plan = self._plan if side == "a" else self._plan.T
-            _, own, other = self.oriented(side)
-            self._sides[side] = (plan.sum(axis=1),
-                                 cost.grad_x(own.points, other.points, plan))
-            if len(self._sides) >= (1 if self.symmetric else 2):
+            if sums is None:
+                sums = plan.sum(axis=1)
+            if cost is not None:
+                _, own, other = self.oriented(side)
+                contraction = cost.grad_x(own.points, other.points, plan)
+            self._sides[side] = (sums, contraction)
+            self._unread.discard(side)
+            if not self._unread:
                 self._plan = None
         return self._sides[side]
 
@@ -190,8 +199,7 @@ def _term(alpha, beta, cost, entropy, eps, opts, symmetric=False,
     else:
         pots, report = solve(alpha, beta, c_matrix, entropy, eps, opts,
                              kernels=buffers.kernels)
-    return _Term(alpha, beta, report, pots, c_matrix, buffers=buffers,
-                 symmetric=symmetric)
+    return _Term(alpha, beta, report, pots, c_matrix, buffers=buffers)
 
 
 def _entropy_value(term, entropy, eps) -> float:
@@ -202,7 +210,7 @@ def _entropy_value(term, entropy, eps) -> float:
     return -0.5 * term.ot + 0.5 * eps * mass * mass
 
 
-def _ot_weight_grad(term, side, cost) -> np.ndarray:
+def _ot_weight_grad(term, side) -> np.ndarray:
     """Envelope gradient of OT_eps in one side's weights,
     ``-phi*(-f) - eps*(pi 1 / a - m(other))``.  The plan's row sums equal
     ``(phi*)'(-f)`` at a converged f-half-update, and exist for every
@@ -213,7 +221,7 @@ def _ot_weight_grad(term, side, cost) -> np.ndarray:
     if np.any(np.isinf(conj)):
         raise UnsupportedEntropyError(
             f"subgradient unavailable for {e.name} at these potentials")
-    row_sums, _ = term.reductions(side, cost)
+    row_sums, _ = term.reductions(side)
     return -conj - term.pots.eps * (row_sums / own.weights
                                     - other.total_mass)
 
@@ -246,11 +254,11 @@ class _Solved:
 
     def weight_grad(self, side: str) -> np.ndarray:
         """Gradient in the weights of side ``"a"`` or ``"b"``."""
-        grad = _ot_weight_grad(self.cross, side, self.cost)
+        grad = _ot_weight_grad(self.cross, side)
         own_term = self.self_a if side == "a" else self.self_b
         if own_term is not None:
             _, own, other = self.cross.oriented(side)
-            grad = (grad - _ot_weight_grad(own_term, "a", self.cost)
+            grad = (grad - _ot_weight_grad(own_term, "a")
                     + self.eps * (own.total_mass - other.total_mass))
         return grad
 
@@ -263,11 +271,12 @@ class _Solved:
             grad = grad - own_term.reductions("a", self.cost)[1]
         return grad
 
-    def _both_sides(self, grad):
-        """``grad("a"), grad("b")``, once both cross sides are read, so the
-        cross plan is dropped before a self term builds its own."""
+    def _both_sides(self, grad, cost=None):
+        """``grad("a"), grad("b")``, once both cross sides are reduced
+        (with ``cost``, see :meth:`_Term.reductions`), so the cross plan is
+        dropped before a self term builds its own."""
         for side in "ab":
-            self.cross.reductions(side, self.cost)
+            self.cross.reductions(side, cost)
         return grad("a"), grad("b")
 
     def grad_weights(self) -> Gradients:
@@ -278,7 +287,7 @@ class _Solved:
         return Gradients(d_weights_a=d_a, d_weights_b=d_b)
 
     def grad_positions(self) -> Gradients:
-        d_a, d_b = self._both_sides(self.position_grad)
+        d_a, d_b = self._both_sides(self.position_grad, self.cost)
         return Gradients(d_points_a=d_a, d_points_b=d_b)
 
 

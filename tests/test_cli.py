@@ -225,6 +225,31 @@ def test_grad_matches_the_separate_functions(cloud_files, capsys):
     assert np.array_equal(payload["grad_points_b"], gp.d_points_b)
 
 
+def test_grad_builds_each_plan_once(cloud_files, monkeypatch, capsys):
+    calls = []
+    inner = uot.divergences.plan_matrix
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(uot.divergences, "plan_matrix", counted)
+    _, _, (a, b) = cloud_files
+    assert main(["grad", "--which", "s", "--target", "both", a, b]) == 0
+    assert len(calls) == 3
+
+
+def test_grad_weights_of_distance_cost(cloud_files, capsys):
+    # each self term pairs every atom with itself, where the cost gradient
+    # of a distance is undefined; the weight gradients do not need it
+    _, _, (a, b) = cloud_files
+    assert main(["grad", "--which", "s", "--target", "weights",
+                 "--cost-power", "1", a, b]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert np.all(np.isfinite(payload["grad_weights_a"]))
+    assert np.all(np.isfinite(payload["grad_weights_b"]))
+
+
 @pytest.mark.parametrize("command", ["solve", "div", "grad"])
 def test_max_iter_stop_warns_once_and_keeps_exit_0(cloud_files, capsys,
                                                    command):

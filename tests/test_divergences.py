@@ -375,6 +375,32 @@ def test_weight_gradient_matches_finite_differences(entropy, which):
     assert np.max(np.abs(g.d_weights_a - fd_w)) / scale <= 1e-5
 
 
+@pytest.mark.parametrize("which", ["ot", "s"])
+def test_weight_gradient_of_distance_cost_at_coincident_points(which,
+                                                               monkeypatch):
+    # weight gradients read the plans' row sums alone: a cost whose
+    # gradient is undefined where atoms coincide (every self term, and here
+    # the cross term) still has them, and no cost gradient is formed
+    from uot.oracle import fd_gradient
+    rng = np.random.default_rng(47)
+    a = random_measure(rng, 6)
+    b = DiscreteMeasure(rng.uniform(0.5, 1.5, 7) / 7,
+                        np.vstack([a.points[:3], rng.random((4, 2))]))
+    cost, eps = CostSpec.euclidean_pow(1.0), 0.4
+    fn = ot_eps if which == "ot" else sinkhorn_divergence
+    fd_w, _ = fd_gradient(lambda m: fn(m, b, cost, KL(1.0), eps, TIGHT).value,
+                          a, h=1e-5)
+
+    def no_grad_x(*args, **kwargs):
+        raise AssertionError("weight gradients formed a cost gradient")
+
+    monkeypatch.setattr(CostSpec, "grad_x", no_grad_x)
+    g = grad_weights(a, b, cost, KL(1.0), eps, which, TIGHT)
+    assert np.all(np.isfinite(g.d_weights_a))
+    assert np.all(np.isfinite(g.d_weights_b))
+    assert np.max(np.abs(g.d_weights_a - fd_w)) <= 1e-5 * np.max(np.abs(fd_w))
+
+
 def test_divergence_weight_gradient_vanishes_at_equal_measures():
     rng = np.random.default_rng(42)
     a = random_measure(rng, 9)
