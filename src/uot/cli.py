@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import os
 import sys
@@ -217,7 +218,10 @@ def _cmd_check(args) -> int:
     return EXIT_OK if report["all_passed"] else EXIT_ERROR
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built once per process: building it costs about
+    twenty parses."""
     parser = _Parser(prog="uot", description=__doc__)
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)

@@ -21,6 +21,8 @@ sums (weights) and the cost-gradient contraction ``sum_j pi_ij grad_x C``
 side lacks what is read and drops it once every side it has is reduced,
 and the bundle reduces both sides of the cross term before a self term,
 so an ``S_eps`` gradient holds the three costs and one plan at a time.
+A term that owns its kernels, as a flow's terms do, builds no plan for
+side ``"a"``: it reads it off its f half-update (see :mod:`uot.sinkhorn`).
 """
 
 from __future__ import annotations
@@ -36,8 +38,8 @@ from .entropies import Entropy
 from .errors import DomainError, UnsupportedEntropyError
 from .measures import CostSpec, DiscreteMeasure
 from .sinkhorn import (CONVERGED, INFEASIBLE, DualPotentials, SolveOptions,
-                       SolveReport, _check_eps, _check_unbound, half_update,
-                       plan_matrix, solve, symmetric_potentials)
+                       SolveReport, _check_eps, _check_unbound, _HalfMap,
+                       half_update, plan_matrix, solve, symmetric_potentials)
 
 _INF = math.inf
 
@@ -96,9 +98,9 @@ def _worst_report(*reports) -> SolveReport:
 class _Buffers:
     """The arrays a term writes into instead of allocating them: its cost
     and its half-update kernels (``(g, f)`` for a cross solve, one for a
-    symmetric solve), the last of which takes the plan once the solve is
-    done with it; the term keeps the plan's reductions, not the plan.
-    ``None`` entries are allocated on use."""
+    symmetric solve).  The last, the f kernel, holds side ``"a"``'s plan
+    up to row scales once the solve is done, and takes the plan when
+    side ``"b"`` needs it.  ``None`` entries are allocated on use."""
 
     cost: Optional[np.ndarray] = None
     kernels: tuple = (None, None)
@@ -112,7 +114,8 @@ class _Term:
     """``OT_eps(alpha, beta)`` and its solve.  Null measures and infeasible
     instances are not solved: ``pots`` stays ``None`` and the value is
     ``closed_form``.  A solved term keeps the reductions of its plan that
-    the gradients read, side by side, not the plan itself."""
+    the gradients read, side by side, not the plan itself, and side
+    ``"a"``'s off its f half-update if it owns its kernels."""
 
     alpha: DiscreteMeasure
     beta: DiscreteMeasure
@@ -121,6 +124,7 @@ class _Term:
     cost: Optional[np.ndarray] = None
     closed_form: float = 0.0
     buffers: _Buffers = _FRESH
+    _half: Optional[_HalfMap] = field(default=None, repr=False)
     _plan: Optional[np.ndarray] = field(default=None, repr=False)
     _unread: set = field(default_factory=set, repr=False)
     _sides: dict = field(default_factory=dict, repr=False)
@@ -143,9 +147,11 @@ class _Term:
         ``None``), with side ``"a"``'s atoms (the plan) or side ``"b"``'s
         (its transpose) as rows.
 
-        The plan is built when a side lacks what is asked, into the term's
-        last kernel buffer if it has one, and dropped once it has served
-        every side the term has: two, or one when ``alpha`` is ``beta``.
+        Side ``"a"`` of a term that owns its kernels reads ``diag(rows) W``
+        off its f half-update (:meth:`~uot.sinkhorn._HalfMap.plan`) unless
+        the plan is built.  That is built when a side lacks what is asked,
+        into the term's last kernel buffer if it has one, and dropped once
+        it has served every side: two, or one when ``alpha`` is ``beta``.
         Row sums are kept whenever the plan is read, so reading positions
         before weights builds each plan once.
         """
@@ -154,17 +160,27 @@ class _Term:
             if self.pots is None:
                 raise DomainError("gradients need non-null measures and a "
                                   "feasible instance")
-            if self._plan is None:
-                self._plan = plan_matrix(self.pots, self.alpha, self.beta,
-                                         self.cost,
-                                         out=self.buffers.kernels[-1])
-                self._unread = {"a"} if self.alpha is self.beta else {"a", "b"}
-            plan = self._plan if side == "a" else self._plan.T
+            _, own, other = self.oriented(side)
+            rows = None
+            if side == "a" and self._half is not None:
+                # the plan is diag(rows) W, W in the f half-update's kernel
+                rows, plan = self._half.plan(own.log_weights, self.pots.f)
+            else:
+                if self._plan is None:
+                    self._plan = plan_matrix(self.pots, self.alpha, self.beta,
+                                             self.cost,
+                                             out=self.buffers.kernels[-1])
+                    self._half = None
+                    self._unread = ({"a"} if self.alpha is self.beta
+                                    else {"a", "b"})
+                plan = self._plan if side == "a" else self._plan.T
             if sums is None:
-                sums = plan.sum(axis=1)
+                sums = (plan.sum(axis=1) if rows is None
+                        else rows * self._half.r)
             if cost is not None:
-                _, own, other = self.oriented(side)
                 contraction = cost.grad_x(own.points, other.points, plan)
+                if rows is not None:
+                    contraction *= rows[:, None]
             self._sides[side] = (sums, contraction)
             self._unread.discard(side)
             if not self._unread:
@@ -193,13 +209,17 @@ def _term(alpha, beta, cost, entropy, eps, opts, symmetric=False,
         return _Term(alpha, beta, SolveReport(CONVERGED, 0, 0.0),
                      closed_form=value)
     c_matrix = cost.pairwise(alpha.points, beta.points, out=buffers.cost)
+    # a term that owns its kernels reads its plan off its f half-update
+    halves = None if buffers.kernels[-1] is None else []
     if symmetric:
         pots, report = symmetric_potentials(alpha, c_matrix, entropy, eps, opts,
-                                            kernel=buffers.kernels[0])
+                                            kernel=buffers.kernels[0],
+                                            _halves=halves)
     else:
         pots, report = solve(alpha, beta, c_matrix, entropy, eps, opts,
-                             kernels=buffers.kernels)
-    return _Term(alpha, beta, report, pots, c_matrix, buffers=buffers)
+                             kernels=buffers.kernels, _halves=halves)
+    return _Term(alpha, beta, report, pots, c_matrix, buffers=buffers,
+                 _half=halves[0] if halves else None)
 
 
 def _entropy_value(term, entropy, eps) -> float:

@@ -20,7 +20,7 @@ floored at ``_EXP_FLOOR = -700``, just above that threshold, before ``exp``:
   the sum is at least 1.  Entries below ``e^-700 ~ 1e-304``, even all of
   them together, stay far under half an ulp of that sum, so raising them
   to ``e^-700`` leaves every sum, and every softmin, bit-identical.
-- ``plan_matrix``, the one place the plan is exponentiated, is not
+- ``plan_matrix``, the one place a plan is exponentiated, is not
   max-shifted: it sets the entries whose log lies below the floor to
   exactly 0, so ``implicit_plan`` drops them as it dropped the entries that
   underflowed to 0.  ``divergences.dual_value`` sums this matrix for the
@@ -61,6 +61,14 @@ A constant shift of the potential, the mass translation that dominates at
 ``half_update`` (and ``extrapolate`` through it) applies a fresh half-update
 map once, so it and ``softmin`` always take the exact path.  A Dirac pair
 runs this loop on its 1 x 1 kernel.
+
+The f half-update's last call holds the plan at the potentials it returns:
+with ``s`` its softmin before ``damp`` and ``r`` its row sums, ``pi =
+diag(R) W``, ``W = K diag(e)``, ``R = a exp((f - s)/eps) / r``, and the
+row sums are ``R r``.  A flow's terms read their plans so, forming ``W``
+in the kernel (no pass after a rebuild): its entries lie in ``[e^-700,
+e^30]``, normal doubles, while ``R`` can be tiny, so ``diag(R) K diag(e)``
+formed entry by entry goes subnormal.
 
 For KL the plain loop contracts at ``(rho / (rho + eps))^2``, close to 1
 when ``rho >> eps``, and the slow mode is that mass translation,
@@ -134,8 +142,8 @@ def softmin(eps: float, measure: DiscreteMeasure, values) -> float:
     if h.shape != measure.weights.shape:
         raise DomainError(f"value vector of length {h.shape} over "
                           f"{len(measure)} atoms")
-    smin, _ = _softmin_rows(eps, measure.log_weights, np.zeros_like(h),
-                            h[None, :])
+    smin, _, _ = _softmin_rows(eps, measure.log_weights, np.zeros_like(h),
+                               h[None, :])
     return float(smin[0])
 
 
@@ -143,8 +151,8 @@ def _softmin_rows(eps, log_w, pot, cost, out=None):
     """Row-wise exact softmin of ``cost`` with its exponents floored at
     ``_EXP_FLOOR``.
 
-    Returns the softmins and the row shifts ``mx``, and leaves the kernel
-    ``K_ij = w_j exp(pot_j/eps - C_ij/eps - mx_i)`` in ``out`` if given.
+    Returns the softmins, the row shifts ``mx`` and the row sums of the
+    kernel ``K_ij = w_j exp(pot_j/eps - C_ij/eps - mx_i)``, left in ``out``.
     """
     tmp = np.divide(cost, eps, out=out)
     np.subtract((log_w + pot / eps)[None, :], tmp, out=tmp)
@@ -152,33 +160,50 @@ def _softmin_rows(eps, log_w, pot, cost, out=None):
     tmp -= mx[:, None]
     np.maximum(tmp, _EXP_FLOOR, out=tmp)
     np.exp(tmp, out=tmp)
-    return -eps * (mx + np.log(np.add.reduce(tmp, axis=1))), mx
+    sums = np.add.reduce(tmp, axis=1)
+    return -eps * (mx + np.log(sums)), mx, sums
 
 
-def _half_map(eps, entropy, log_w, cost, kernel=None):
+class _HalfMap:
     """One damped half-update as a map ``pot -> new pot``.
 
     Keeps the kernel of its last exact softmin in one N x M buffer,
     ``kernel`` if given, and reuses it while the potential's drift ``d``
-    spans less than ``_KERNEL_DRIFT`` (see the module docstring).
+    spans less than ``_KERNEL_DRIFT`` (see the module docstring).  The last
+    call's softmin ``s`` (before ``damp``), row sums ``r`` and
+    ``e = exp(d - lo)`` (``None`` after a rebuild) stay readable, and with
+    them :meth:`plan` reads the plan off the kernel.
     """
-    kernel = _out_array(kernel, cost.shape, cost)
-    ref = mx = None
 
-    def half(pot):
-        nonlocal ref, mx
-        if ref is not None:
-            d = (pot - ref) / eps
+    def __init__(self, eps, entropy, log_w, cost, kernel=None):
+        self.eps, self.entropy, self.log_w, self.cost = eps, entropy, log_w, cost
+        self.kernel = _out_array(kernel, cost.shape, cost)
+        self.ref = self.mx = self.s = self.r = self.e = None
+
+    def __call__(self, pot):
+        eps = self.eps
+        if self.ref is not None:
+            d = (pot - self.ref) / eps
             lo = np.minimum.reduce(d)
             if np.maximum.reduce(d) - lo < _KERNEL_DRIFT:
                 d -= lo
-                rows = kernel @ np.exp(d, out=d)
-                smin = -eps * ((mx + lo) + np.log(rows))
-                return entropy.damp(eps, smin)
-        smin, mx = _softmin_rows(eps, log_w, pot, cost, out=kernel)
-        ref = pot.copy()
-        return entropy.damp(eps, smin)
-    return half
+                self.e = np.exp(d, out=d)
+                self.r = self.kernel @ self.e
+                self.s = -eps * ((self.mx + lo) + np.log(self.r))
+                return self.entropy.damp(eps, self.s)
+        self.s, self.mx, self.r = _softmin_rows(eps, self.log_w, pot,
+                                                self.cost, out=self.kernel)
+        self.ref, self.e = pot.copy(), None
+        return self.entropy.damp(eps, self.s)
+
+    def plan(self, log_w, pot):
+        """``(R, W)``, the plan between ``pot`` on the rows (log weights
+        ``log_w``) and the last input as ``diag(R) W``, ``W`` formed in the
+        kernel, which the next call rebuilds (see the module docstring)."""
+        if self.e is not None:
+            self.kernel *= self.e
+            self.ref = self.e = None
+        return np.exp(log_w + (pot - self.s) / self.eps) / self.r, self.kernel
 
 
 def _kl_translation(rho, alpha, beta):
@@ -221,7 +246,7 @@ def half_update(eps: float, entropy: Entropy, m_other: DiscreteMeasure,
     if cost_rows.ndim != 2 or cost_rows.shape[1] != len(m_other):
         raise DomainError(f"cost rows of shape {cost_rows.shape} against "
                           f"{len(m_other)} atoms")
-    return _half_map(eps, entropy, m_other.log_weights, cost_rows)(pot_other)
+    return _HalfMap(eps, entropy, m_other.log_weights, cost_rows)(pot_other)
 
 
 @dataclass
@@ -358,7 +383,7 @@ def _iterate(sweep, state, opts):
 
 def solve(alpha: DiscreteMeasure, beta: DiscreteMeasure, cost: np.ndarray,
           entropy: Entropy, eps: float,
-          opts: Optional[SolveOptions] = None, *, kernels=None):
+          opts: Optional[SolveOptions] = None, *, kernels=None, _halves=None):
     """Run the generalized Sinkhorn loop on a materialized cost matrix.
 
     Returns ``(DualPotentials | None, SolveReport)``; the potentials are
@@ -374,7 +399,8 @@ def solve(alpha: DiscreteMeasure, beta: DiscreteMeasure, cost: np.ndarray,
     and ``(N, M)``, for ``N`` atoms in ``alpha`` and ``M`` in ``beta``,
     that the g and f half-updates keep their kernels in instead of
     allocating them; one that overlaps ``cost`` or the other raises
-    ``DomainError``.
+    ``DomainError``.  A list ``_halves`` receives the f half-update, whose
+    last input is the returned ``g`` (see :meth:`_HalfMap.plan`).
     """
     opts = opts or SolveOptions()
     cost = _check_entry(alpha, beta, cost, eps)
@@ -386,9 +412,9 @@ def solve(alpha: DiscreteMeasure, beta: DiscreteMeasure, cost: np.ndarray,
     # the g side reads the transposed view only when it rebuilds its kernel,
     # which it writes into its own contiguous buffer
     kernel_g, kernel_f = (None, None) if kernels is None else kernels
-    half_g = _half_map(eps, on_b, alpha.log_weights, cost.T, kernel_g)
-    half_f = _half_map(eps, on_a, beta.log_weights, cost,
-                       _out_array(kernel_f, cost.shape, kernel_g))
+    half_g = _HalfMap(eps, on_b, alpha.log_weights, cost.T, kernel_g)
+    half_f = _HalfMap(eps, on_a, beta.log_weights, cost,
+                      _out_array(kernel_f, cost.shape, kernel_g))
     translate = (_kl_translation(on_a.rho, alpha, beta)
                  if isinstance(on_a, KL) and np.ndim(on_a.rho) == 0 else None)
 
@@ -404,12 +430,14 @@ def solve(alpha: DiscreteMeasure, beta: DiscreteMeasure, cost: np.ndarray,
         # the kernel this builds serves sweep 1's f half-update
         f = half_f(g)
     (f, g), report = _iterate(sweep, (f, g), opts)
+    if _halves is not None:
+        _halves.append(half_f)
     return DualPotentials(f, g, eps, entropy), report
 
 
 def solve_symmetric(alpha: DiscreteMeasure, cost: np.ndarray, entropy: Entropy,
                     eps: float, opts: Optional[SolveOptions] = None, *,
-                    kernel=None):
+                    kernel=None, _halves=None):
     """Solve the symmetric problem OT(alpha, alpha) for its single potential.
 
     Iterates the averaged map ``f <- (f + T_alpha(f)) / 2``; plain iteration
@@ -417,13 +445,14 @@ def solve_symmetric(alpha: DiscreteMeasure, cost: np.ndarray, entropy: Entropy,
     vector satisfies ``f = T_alpha(f)`` to within ``opts.tol``.  A provided
     ``opts.init`` is the potential vector, or an (f, g) pair whose f is used.
     ``kernel``, if given, is an N x N float array, not overlapping ``cost``,
-    that the half-update keeps its kernel in, as in :func:`solve`.
+    that the half-update keeps its kernel in, and ``_halves`` receives the
+    half-update as in :func:`solve`, applied once more to the returned f.
     """
     opts = opts or SolveOptions()
     cost = _check_entry(alpha, alpha, cost, eps)
     _check_unbound(entropy)
-    half = _half_map(eps, entropy.at(alpha.points), alpha.log_weights, cost,
-                     kernel)
+    half = _HalfMap(eps, entropy.at(alpha.points), alpha.log_weights, cost,
+                    kernel)
 
     def sweep(f):
         tf = half(f)
@@ -431,15 +460,20 @@ def solve_symmetric(alpha: DiscreteMeasure, cost: np.ndarray, entropy: Entropy,
 
     f0 = _initial(opts.init, entropy, eps, alpha, alpha, cost,
                   symmetric=True)[0]
-    return _iterate(sweep, f0, opts)
+    f, report = _iterate(sweep, f0, opts)
+    if _halves is not None:
+        half(f)
+        _halves.append(half)
+    return f, report
 
 
 def symmetric_potentials(alpha: DiscreteMeasure, cost: np.ndarray,
                          entropy: Entropy, eps: float,
-                         opts: Optional[SolveOptions] = None, *, kernel=None):
+                         opts: Optional[SolveOptions] = None, *, kernel=None,
+                         _halves=None):
     """Wrap the symmetric potential as a (f, f) dual pair."""
     f, report = solve_symmetric(alpha, cost, entropy, eps, opts,
-                                kernel=kernel)
+                                kernel=kernel, _halves=_halves)
     return DualPotentials(f, f.copy(), eps, entropy), report
 
 

@@ -62,6 +62,19 @@ def test_usage_error_exits_1(capsys):
     assert main(["frobnicate"]) == 1
 
 
+def test_main_builds_the_parser_once(dirac_files, capsys):
+    a, b = dirac_files
+    uot.cli.build_parser.cache_clear()
+    args = ["div", "--entropy", "kl:rho=1", "--eps", "1", a, b]
+    assert main(args) == 0 and main(args) == 0
+    assert uot.cli.build_parser.cache_info().misses == 1
+    capsys.readouterr()
+    # the reused parser still reports a usage error with exit 1
+    assert main(["div", "--entropy"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage: uot div") and "error: argument" in err
+
+
 def test_missing_file_exits_1(tmp_path, capsys):
     code = main(["div", str(tmp_path / "none.json"), str(tmp_path / "none2.json")])
     assert code == 1

@@ -9,7 +9,9 @@ from uot import (KL, TV, Balanced, Berg, CostSpec, DiscreteMeasure,
                  UnsupportedEntropyError, dual_value, grad_positions,
                  grad_weights, hausdorff_divergence, ot_eps, plan_matrix,
                  sinkhorn_divergence, sinkhorn_entropy, solve)
-from uot.divergences import _entropy_grad, solve_terms
+import uot.divergences
+import uot.sinkhorn
+from uot.divergences import _Buffers, _entropy_grad, _term, solve_terms
 from uot.sinkhorn import extrapolate
 
 SQ = CostSpec.sq_euclidean()
@@ -530,6 +532,103 @@ def test_position_gradient_coincident_distance_cost_rejected():
     b = DiscreteMeasure([1.0], [[0.0, 0.0]])
     with pytest.raises(DomainError):
         grad_positions(a, b, CostSpec.euclidean_pow(1.0), KL(1.0), 0.5)
+
+
+# ------------------------------------------- plans read off the f kernel
+
+
+def workspace_pair(seed, n=12, m=15):
+    """Two measures of equal mass, so that every penalty is feasible."""
+    rng = np.random.default_rng(seed)
+    a = random_measure(rng, n)
+    b = DiscreteMeasure(rng.uniform(0.5, 1.5, m), 0.3 + 0.8 * rng.random((m, 2)))
+    return a, b.scaled(a.total_mass / b.total_mass)
+
+
+def workspace_term(alpha, beta, cost, entropy, eps, symmetric=False):
+    """A term solved into buffers it owns, as a flow's terms are."""
+    n, m = len(alpha), len(beta)
+    kernels = ((np.empty((n, n)),) if symmetric
+               else (np.empty((m, n)), np.empty((n, m))))
+    return _term(alpha, beta, cost, entropy, eps,
+                 SolveOptions(max_iter=3000), symmetric=symmetric,
+                 buffers=_Buffers(np.empty((n, m)), kernels))
+
+
+def assert_reductions_match_the_plan(term, side, cost, plan):
+    """Row sums within 1e-12 relative of the plan's, and the contraction
+    within 1e-12 of its largest possible size, the plan's largest row mass
+    times the largest ``|grad_x C|``: a self term's contraction nearly
+    vanishes, cancelling down from terms of that size."""
+    _, own, other = term.oriented(side)
+    sums, contraction = term.reductions(side, cost)
+    ref_sums = plan.sum(axis=1)
+    assert np.max(np.abs(sums - ref_sums)) <= 1e-12 * np.max(ref_sums)
+    ref = cost.grad_x(own.points, other.points, plan)
+    grad_size = np.max(np.linalg.norm(
+        tensor_cost_grad(cost, own.points, other.points), axis=-1))
+    assert (np.max(np.abs(contraction - ref))
+            <= 1e-12 * np.max(ref_sums) * grad_size)
+
+
+def no_plan_matrix(monkeypatch):
+    def refused(*args, **kwargs):
+        raise AssertionError("plan_matrix called")
+    monkeypatch.setattr(uot.divergences, "plan_matrix", refused)
+
+
+@pytest.mark.parametrize("eps", [1e-3, 0.05])
+@pytest.mark.parametrize("entropy", [
+    KL(0.1), KL(0.1, rho_fn=lambda pts: 0.05 + 0.1 * pts[:, 0]), TV(0.1),
+    Range(0.7, 1.4), Balanced(), Power(0.1, 0.5), Berg(0.1)],
+    ids=["kl", "spatial-kl", "tv", "range", "balanced", "power", "berg"])
+def test_workspace_terms_read_their_plan_off_the_f_kernel(monkeypatch,
+                                                          entropy, eps):
+    a, b = workspace_pair(81)
+    no_plan_matrix(monkeypatch)
+    for power in (2.0, 3.0):
+        cost = CostSpec.euclidean_pow(power)
+        for beta, symmetric in ((b, False), (a, True)):
+            term = workspace_term(a, beta, cost, entropy, eps, symmetric)
+            plan = uot.sinkhorn.plan_matrix(term.pots, a, beta, term.cost)
+            assert_reductions_match_the_plan(term, "a", cost, plan)
+
+
+@pytest.mark.parametrize("symmetric", [False, True], ids=["cross", "self"])
+def test_a_rebuilt_f_kernel_is_the_plan_up_to_row_scales(monkeypatch,
+                                                         symmetric):
+    # with no drift allowed every half-update rebuilds its kernel, so the
+    # last one leaves no column scales to fold in
+    monkeypatch.setattr(uot.sinkhorn, "_KERNEL_DRIFT", 0.0)
+    a, b = workspace_pair(82)
+    beta = a if symmetric else b
+    no_plan_matrix(monkeypatch)
+    term = workspace_term(a, beta, SQ, TV(0.1), 1e-3, symmetric)
+    assert term._half.e is None
+    plan = uot.sinkhorn.plan_matrix(term.pots, a, beta, term.cost)
+    assert_reductions_match_the_plan(term, "a", SQ, plan)
+
+
+def test_a_plan_built_into_the_f_kernel_serves_both_sides():
+    # side "b" builds the plan into the f kernel, so side "a" reads that
+    a, b = workspace_pair(83)
+    term = workspace_term(a, b, SQ, KL(0.1), 1e-3)
+    plan = plan_matrix(term.pots, a, b, term.cost)
+    assert_reductions_match_the_plan(term, "b", SQ, plan.T)
+    assert_reductions_match_the_plan(term, "a", SQ, plan)
+
+
+@pytest.mark.parametrize("entropy", [KL(0.1), TV(0.1), Balanced()],
+                         ids=["kl", "tv", "balanced"])
+def test_workspace_self_terms_solve_as_terms_without_buffers(entropy):
+    # a workspace self term refreshes its half-update at the returned
+    # potential, which moves neither the potential nor the report
+    a, _ = workspace_pair(84)
+    plain = _term(a, a, SQ, entropy, 1e-2, SolveOptions(max_iter=3000),
+                  symmetric=True)
+    term = workspace_term(a, a, SQ, entropy, 1e-2, symmetric=True)
+    assert np.array_equal(term.pots.f, plain.pots.f)
+    assert term.report == plain.report
 
 
 # --------------------------------------------------- spatially varying KL

@@ -352,3 +352,23 @@ def test_run_flow_solves_each_state_once(monkeypatch, every):
     assert solved.count("solve") == params.steps + 1
     assert solved.count("symmetric_potentials") == params.steps + 1
     assert solved.count("target") == 1
+
+
+@pytest.mark.parametrize("entropy", [KL(0.1), TV(0.1)], ids=["kl", "tv"])
+def test_flow_steps_read_their_plans_off_the_kernels(monkeypatch, entropy):
+    inner, plans = uot.divergences.plan_matrix, []
+
+    def counted(*args, **kwargs):
+        plans.append(args)
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(uot.divergences, "plan_matrix", counted)
+    state, target = two_clouds(80, 10)
+    params = FlowParams(eta_x=3.0, eps=1e-2, entropy=entropy, steps=4,
+                        solve_tol=1e-6, mass_rate="eta_r")
+    flow_step(state, target, SQ, params)
+    assert plans == []
+    # TV's dual value sums the plan: the target's self term once, and the
+    # cross and particles' self term at each snapshot
+    traj = run_flow(state, target, SQ, params, snapshot_every=2)
+    assert len(plans) == (0 if entropy.smooth else 1 + 2 * len(traj))
