@@ -152,7 +152,8 @@ def _softmin_rows(eps, log_w, pot, cost, out=None):
     ``_EXP_FLOOR``.
 
     Returns the softmins, the row shifts ``mx`` and the row sums of the
-    kernel ``K_ij = w_j exp(pot_j/eps - C_ij/eps - mx_i)``, left in ``out``.
+    kernel ``K_ij = w_j exp(pot_j/eps - C_ij/eps - mx_i)``, which it leaves
+    in ``out`` if given.
     """
     tmp = np.divide(cost, eps, out=out)
     np.subtract((log_w + pot / eps)[None, :], tmp, out=tmp)
