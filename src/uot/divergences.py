@@ -3,7 +3,8 @@
 Values are reported from the dual functional at the converged potentials.
 Its entropic term reads the mass of the implicit plan: smooth conjugates
 (KL, power, Berg) give it in linear time, the rest sum the plan matrix of
-:mod:`uot.sinkhorn` over the full product of supports.
+:mod:`uot.sinkhorn` over the full product of supports, or read it off a
+self term's kernel.
 The debiased quantities combine one cross solve with two symmetric solves:
 
     S_eps(a, b) = OT_eps(a, b) + F_eps(a) + F_eps(b) - eps m(a) m(b),
@@ -19,10 +20,12 @@ The gradients read two reductions of each term's plan per side: its row
 sums (weights) and the cost-gradient contraction ``sum_j pi_ij grad_x C``
 (positions).  A term keeps those, not its plan: it builds the plan when a
 side lacks what is read and drops it once every side it has is reduced,
-and the bundle reduces both sides of the cross term before a self term,
-so an ``S_eps`` gradient holds the three costs and one plan at a time.
-A term that owns its kernels, as a flow's terms do, builds no plan for
-side ``"a"``: it reads it off its f half-update (see :mod:`uot.sinkhorn`).
+and the bundle reduces both sides of the cross term first.  A self term
+keeps its f half-update instead of its cost and reads everything off its
+kernel (see :mod:`uot.sinkhorn`), so an ``S_eps`` gradient holds the cross
+cost, two self kernels and one plan at a time.  A cross term keeps its
+cost, and reads side ``"a"`` off its f half-update if it owns its kernels,
+as a flow's terms do.
 """
 
 from __future__ import annotations
@@ -76,15 +79,20 @@ def dual_value(pots: DualPotentials, alpha: DiscreteMeasure,
     it), so the reported value inherits the dual's stationarity.  Other
     entropies sum :func:`~uot.sinkhorn.plan_matrix`, one O(NM) pass.
     """
+    return _dual_value(pots, alpha, beta, lambda: float(
+        np.sum(plan_matrix(pots, alpha, beta, cost))))
+
+
+def _dual_value(pots, alpha, beta, plan_mass) -> float:
+    """:func:`dual_value`, calling ``plan_mass()`` for the plan mass of a
+    penalty whose conjugate is not smooth."""
     on_a, eps = pots.entropy.at(alpha.points), pots.eps
     mass_prod = alpha.total_mass * beta.total_mass
     a_term = -float(alpha.weights @ on_a.conj(-pots.f))
     b_term = -float(beta.weights @ pots.entropy.at(beta.points).conj(-pots.g))
-    if on_a.smooth:
-        plan_mass = float(alpha.weights @ on_a.conj_grad(-pots.f))
-    else:
-        plan_mass = float(np.sum(plan_matrix(pots, alpha, beta, cost)))
-    return a_term + b_term - eps * (plan_mass - mass_prod)
+    mass = (float(alpha.weights @ on_a.conj_grad(-pots.f)) if on_a.smooth
+            else plan_mass())
+    return a_term + b_term - eps * (mass - mass_prod)
 
 
 def _worst_report(*reports) -> SolveReport:
@@ -99,8 +107,9 @@ class _Buffers:
     """The arrays a term writes into instead of allocating them: its cost
     and its half-update kernels (``(g, f)`` for a cross solve, one for a
     symmetric solve).  The last, the f kernel, holds side ``"a"``'s plan
-    up to row scales once the solve is done, and takes the plan when
-    side ``"b"`` needs it.  ``None`` entries are allocated on use."""
+    up to row scales once the solve is done, and takes a cross term's plan
+    when side ``"b"`` needs it.  ``None`` entries are allocated on use; a
+    self term keeps its f kernel either way."""
 
     cost: Optional[np.ndarray] = None
     kernels: tuple = (None, None)
@@ -114,8 +123,10 @@ class _Term:
     """``OT_eps(alpha, beta)`` and its solve.  Null measures and infeasible
     instances are not solved: ``pots`` stays ``None`` and the value is
     ``closed_form``.  A solved term keeps the reductions of its plan that
-    the gradients read, side by side, not the plan itself, and side
-    ``"a"``'s off its f half-update if it owns its kernels."""
+    the gradients read, side by side, not the plan itself.  A self term
+    reads them and its plan mass off its f half-update and keeps no
+    ``cost``; a cross term keeps its cost, and reads side ``"a"`` off its
+    f half-update if it owns its kernels."""
 
     alpha: DiscreteMeasure
     beta: DiscreteMeasure
@@ -133,7 +144,11 @@ class _Term:
     def ot(self) -> float:
         if self.pots is None:
             return self.closed_form
-        return dual_value(self.pots, self.alpha, self.beta, self.cost)
+        if self.cost is not None:
+            return dual_value(self.pots, self.alpha, self.beta, self.cost)
+        return _dual_value(self.pots, self.alpha, self.beta, lambda: float(
+            np.sum(self._half.row_masses(self.alpha.log_weights,
+                                         self.pots.f))))
 
     def oriented(self, side):
         """Potential, own and other measure for side ``"a"`` or ``"b"``."""
@@ -147,13 +162,13 @@ class _Term:
         ``None``), with side ``"a"``'s atoms (the plan) or side ``"b"``'s
         (its transpose) as rows.
 
-        Side ``"a"`` of a term that owns its kernels reads ``diag(rows) W``
-        off its f half-update (:meth:`~uot.sinkhorn._HalfMap.plan`) unless
-        the plan is built.  That is built when a side lacks what is asked,
-        into the term's last kernel buffer if it has one, and dropped once
-        it has served every side: two, or one when ``alpha`` is ``beta``.
-        Row sums are kept whenever the plan is read, so reading positions
-        before weights builds each plan once.
+        Side ``"a"`` of a term that keeps its f half-update reads
+        ``diag(rows) W`` off it (:meth:`~uot.sinkhorn._HalfMap.plan`)
+        unless the plan is built.  A cross term builds it when a side lacks
+        what is asked, into its last kernel buffer if it has one, and drops
+        it once it has served both sides.  Row sums are kept whenever the
+        plan is read, so reading positions before weights builds each plan
+        once.
         """
         sums, contraction = self._sides.get(side, (None, None))
         if sums is None or (cost is not None and contraction is None):
@@ -171,8 +186,7 @@ class _Term:
                                              self.cost,
                                              out=self.buffers.kernels[-1])
                     self._half = None
-                    self._unread = ({"a"} if self.alpha is self.beta
-                                    else {"a", "b"})
+                    self._unread = {"a", "b"}
                 plan = self._plan if side == "a" else self._plan.T
             if sums is None:
                 sums = (plan.sum(axis=1) if rows is None
@@ -209,12 +223,14 @@ def _term(alpha, beta, cost, entropy, eps, opts, symmetric=False,
         return _Term(alpha, beta, SolveReport(CONVERGED, 0, 0.0),
                      closed_form=value)
     c_matrix = cost.pairwise(alpha.points, beta.points, out=buffers.cost)
-    # a term that owns its kernels reads its plan off its f half-update
-    halves = None if buffers.kernels[-1] is None else []
+    # self terms, and terms owning their kernels, read plans off half-updates
+    halves = [] if symmetric or buffers.kernels[-1] is not None else None
     if symmetric:
         pots, report = symmetric_potentials(alpha, c_matrix, entropy, eps, opts,
                                             kernel=buffers.kernels[0],
                                             _halves=halves)
+        # the kernel serves every read, and the cost only rebuilds it
+        c_matrix = halves[0].cost = None
     else:
         pots, report = solve(alpha, beta, c_matrix, entropy, eps, opts,
                              kernels=buffers.kernels, _halves=halves)

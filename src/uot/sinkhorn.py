@@ -25,7 +25,8 @@ floored at ``_EXP_FLOOR = -700``, just above that threshold, before ``exp``:
   exactly 0, so ``implicit_plan`` drops them as it dropped the entries that
   underflowed to 0.  ``divergences.dual_value`` sums this matrix for the
   plan mass of the non-smooth entropies; the dropped entries lie far
-  below an ulp of that sum.
+  below an ulp of that sum.  A self term reads that mass off its kernel
+  instead (below).
 
 The exact softmin (``_softmin_rows``) is the only code that scales a cost
 block: it divides the cost by ``eps`` straight into its kernel buffer, so
@@ -64,11 +65,13 @@ runs this loop on its 1 x 1 kernel.
 
 The f half-update's last call holds the plan at the potentials it returns:
 with ``s`` its softmin before ``damp`` and ``r`` its row sums, ``pi =
-diag(R) W``, ``W = K diag(e)``, ``R = a exp((f - s)/eps) / r``, and the
-row sums are ``R r``.  A flow's terms read their plans so, forming ``W``
-in the kernel (no pass after a rebuild): its entries lie in ``[e^-700,
-e^30]``, normal doubles, while ``R`` can be tiny, so ``diag(R) K diag(e)``
-formed entry by entry goes subnormal.
+diag(R) W``, ``W = K diag(e)``, ``R = a exp((f - s)/eps) / r``, the row
+sums are ``R r = a exp((f - s)/eps)`` and the plan mass is their sum, no
+N x M pass.  Self terms, and the particles' side of a flow's cross term,
+read their plans so, forming ``W`` in the kernel (no pass after a
+rebuild): its entries lie in ``[e^-700, e^30]``, normal doubles, while
+``R`` can be tiny, so ``diag(R) K diag(e)`` formed entry by entry goes
+subnormal.
 
 For KL the plain loop contracts at ``(rho / (rho + eps))^2``, close to 1
 when ``rho >> eps``, and the slow mode is that mass translation,
@@ -108,7 +111,18 @@ start from an extrapolated ``g`` (see :mod:`uot.flows`), the cross-solve
 sweeps fall from 17 415 to 5 984 and the kernel rebuilds from 2093 to 1871.
 ``solve_symmetric`` has a single potential and rejects it.
 
-``solve`` (g then f) and ``solve_symmetric`` (an averaged map) share one
+``solve_symmetric`` iterates ``f <- f + omega (T f - f)``, ``omega = 2/3``,
+on its one half-update map ``T``.  Near the fixed point ``T``'s Jacobian
+is ``-kappa P``, with ``kappa <= 1`` the slope of ``damp`` and ``P`` the
+row-normalized plan, a stochastic matrix whose spectrum lies in [0, 1] when
+``exp(-C/eps)`` is positive definite (the squared distance).  The step maps
+it into ``[1 - omega (1 + kappa), 1 - omega]``: ``omega = 2/3`` contracts
+at 1/3 for every ``kappa``, the balanced two-cycle ``T(f + c) = T f - c``
+included, and the average ``(f + T f) / 2`` of Feydy et al. (AISTATS 2019)
+at 1/2.  On 60-atom self problems the late update ratios stay below 0.39,
+against 0.44-0.49 for the average.
+
+``solve`` (g then f) and ``solve_symmetric`` (a relaxed map) share one
 entry check, one ``init`` parser, one damped half-update and one stopping
 rule, ``_iterate``: a per-solve timer or a strict ``max_iter`` check goes there.
 """
@@ -131,6 +145,7 @@ INFEASIBLE = "infeasible"
 
 _EXP_FLOOR = -700.0
 _KERNEL_DRIFT = 30.0
+_SELF_STEP = 2.0 / 3.0  # solve_symmetric's relaxation, see its docstring
 
 
 def softmin(eps: float, measure: DiscreteMeasure, values) -> float:
@@ -197,14 +212,18 @@ class _HalfMap:
         self.ref, self.e = pot.copy(), None
         return self.entropy.damp(eps, self.s)
 
+    def row_masses(self, log_w, pot):
+        """The row sums ``a exp((pot - s)/eps)`` of the plan between ``pot``
+        on the rows (log weights ``log_w``) and the last input."""
+        return np.exp(log_w + (pot - self.s) / self.eps)
+
     def plan(self, log_w, pot):
-        """``(R, W)``, the plan between ``pot`` on the rows (log weights
-        ``log_w``) and the last input as ``diag(R) W``, ``W`` formed in the
+        """``(R, W)``, that plan as ``diag(R) W``, ``W`` formed in the
         kernel, which the next call rebuilds (see the module docstring)."""
         if self.e is not None:
             self.kernel *= self.e
             self.ref = self.e = None
-        return np.exp(log_w + (pot - self.s) / self.eps) / self.r, self.kernel
+        return self.row_masses(log_w, pot) / self.r, self.kernel
 
 
 def _kl_translation(rho, alpha, beta):
@@ -273,8 +292,9 @@ class SolveOptions:
     def __post_init__(self):
         if not 0 < self.tol < math.inf:
             raise DomainError("tol must be positive and finite")
-        if self.max_iter < 1:
-            raise DomainError("max_iter must be >= 1")
+        if not (isinstance(self.max_iter, (int, np.integer))
+                and self.max_iter >= 1):
+            raise DomainError("max_iter must be an integer >= 1")
 
 
 @dataclass
@@ -441,8 +461,9 @@ def solve_symmetric(alpha: DiscreteMeasure, cost: np.ndarray, entropy: Entropy,
                     kernel=None, _halves=None):
     """Solve the symmetric problem OT(alpha, alpha) for its single potential.
 
-    Iterates the averaged map ``f <- (f + T_alpha(f)) / 2``; plain iteration
-    of ``T_alpha`` can two-cycle for the balanced constraint.  The returned
+    Iterates ``f <- f + (2/3) (T_alpha(f) - f)``, which contracts at 1/3
+    (see the module docstring); plain iteration of ``T_alpha`` can
+    two-cycle for the balanced constraint.  The returned
     vector satisfies ``f = T_alpha(f)`` to within ``opts.tol``.  A provided
     ``opts.init`` is the potential vector, or an (f, g) pair whose f is used.
     ``kernel``, if given, is an N x N float array, not overlapping ``cost``,
@@ -457,7 +478,7 @@ def solve_symmetric(alpha: DiscreteMeasure, cost: np.ndarray, entropy: Entropy,
 
     def sweep(f):
         tf = half(f)
-        return 0.5 * (f + tf), _sup_norm(tf - f)
+        return f + _SELF_STEP * (tf - f), _sup_norm(tf - f)
 
     f0 = _initial(opts.init, entropy, eps, alpha, alpha, cost,
                   symmetric=True)[0]

@@ -249,7 +249,8 @@ def test_grad_builds_each_plan_once(cloud_files, monkeypatch, capsys):
     monkeypatch.setattr(uot.divergences, "plan_matrix", counted)
     _, _, (a, b) = cloud_files
     assert main(["grad", "--which", "s", "--target", "both", a, b]) == 0
-    assert len(calls) == 3
+    # the self terms read theirs off their kernels
+    assert len(calls) == 1
 
 
 def test_grad_weights_of_distance_cost(cloud_files, capsys):

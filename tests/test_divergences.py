@@ -231,20 +231,20 @@ def test_divergence_infeasible_cross_term():
 
 
 def test_divergence_reports_a_self_solve_stopped_at_max_iter():
-    # on this instance the cross solve converges in 21 sweeps, the self
-    # solve of ``a`` needs 24 and that of ``b`` 22: a budget of 23 stops
-    # only the self solve of ``a``
+    # on this instance the cross solve converges in 2 sweeps, the self
+    # solve of ``a`` needs 16 and that of ``b`` 19: a budget of 17 stops
+    # only the self solve of ``b``
     n = 8
     rng = np.random.default_rng([4, n])
     a = DiscreteMeasure(rng.uniform(0.5, 1.5, n) / n, rng.random((n, 2)))
     b = DiscreteMeasure(rng.uniform(0.5, 1.5, n) / n * 1.2, rng.random((n, 2)))
-    assert ot_eps(a, b, SQ, KL(0.1), 0.05).report.iterations == 21
-    assert sinkhorn_entropy(a, SQ, KL(0.1), 0.05).report.iterations == 24
-    assert sinkhorn_entropy(b, SQ, KL(0.1), 0.05).report.iterations == 22
-    res = sinkhorn_divergence(a, b, SQ, KL(0.1), 0.05,
-                              SolveOptions(max_iter=23))
+    assert ot_eps(a, b, SQ, TV(0.1), 0.5).report.iterations == 2
+    assert sinkhorn_entropy(a, SQ, TV(0.1), 0.5).report.iterations == 16
+    assert sinkhorn_entropy(b, SQ, TV(0.1), 0.5).report.iterations == 19
+    res = sinkhorn_divergence(a, b, SQ, TV(0.1), 0.5,
+                              SolveOptions(max_iter=17))
     assert res.report.status == "max_iter"
-    assert res.report.iterations > 23  # sweeps of all three solves
+    assert res.report.iterations == 2 + 16 + 17  # sweeps of all three solves
 
 
 # ------------------------------------------------------------- hausdorff
@@ -577,11 +577,14 @@ def no_plan_matrix(monkeypatch):
     monkeypatch.setattr(uot.divergences, "plan_matrix", refused)
 
 
-@pytest.mark.parametrize("eps", [1e-3, 0.05])
-@pytest.mark.parametrize("entropy", [
+every_penalty = pytest.mark.parametrize("entropy", [
     KL(0.1), KL(0.1, rho_fn=lambda pts: 0.05 + 0.1 * pts[:, 0]), TV(0.1),
     Range(0.7, 1.4), Balanced(), Power(0.1, 0.5), Berg(0.1)],
     ids=["kl", "spatial-kl", "tv", "range", "balanced", "power", "berg"])
+
+
+@pytest.mark.parametrize("eps", [1e-3, 0.05])
+@every_penalty
 def test_workspace_terms_read_their_plan_off_the_f_kernel(monkeypatch,
                                                           entropy, eps):
     a, b = workspace_pair(81)
@@ -590,7 +593,8 @@ def test_workspace_terms_read_their_plan_off_the_f_kernel(monkeypatch,
         cost = CostSpec.euclidean_pow(power)
         for beta, symmetric in ((b, False), (a, True)):
             term = workspace_term(a, beta, cost, entropy, eps, symmetric)
-            plan = uot.sinkhorn.plan_matrix(term.pots, a, beta, term.cost)
+            plan = uot.sinkhorn.plan_matrix(
+                term.pots, a, beta, cost.pairwise(a.points, beta.points))
             assert_reductions_match_the_plan(term, "a", cost, plan)
 
 
@@ -605,7 +609,8 @@ def test_a_rebuilt_f_kernel_is_the_plan_up_to_row_scales(monkeypatch,
     no_plan_matrix(monkeypatch)
     term = workspace_term(a, beta, SQ, TV(0.1), 1e-3, symmetric)
     assert term._half.e is None
-    plan = uot.sinkhorn.plan_matrix(term.pots, a, beta, term.cost)
+    plan = uot.sinkhorn.plan_matrix(term.pots, a, beta,
+                                    SQ.pairwise(a.points, beta.points))
     assert_reductions_match_the_plan(term, "a", SQ, plan)
 
 
@@ -629,6 +634,40 @@ def test_workspace_self_terms_solve_as_terms_without_buffers(entropy):
     term = workspace_term(a, a, SQ, entropy, 1e-2, symmetric=True)
     assert np.array_equal(term.pots.f, plain.pots.f)
     assert term.report == plain.report
+
+
+@pytest.mark.parametrize("owned", [False, True], ids=["fresh", "workspace"])
+@pytest.mark.parametrize("eps", [1e-3, 0.05])
+@every_penalty
+def test_self_terms_read_sums_contraction_and_value_off_their_kernel(
+        monkeypatch, entropy, eps, owned):
+    a, _ = workspace_pair(85)
+    for power in (2.0, 3.0):
+        cost = CostSpec.euclidean_pow(power)
+        no_plan_matrix(monkeypatch)
+        term = (workspace_term(a, a, cost, entropy, eps, symmetric=True)
+                if owned else _term(a, a, cost, entropy, eps,
+                                    SolveOptions(max_iter=3000),
+                                    symmetric=True))
+        c_aa = cost.pairwise(a.points, a.points)
+        plan = uot.sinkhorn.plan_matrix(term.pots, a, a, c_aa)
+        assert_reductions_match_the_plan(term, "a", cost, plan)
+        value = term.ot
+        monkeypatch.undo()
+        ref = dual_value(term.pots, a, a, c_aa)
+        assert abs(value - ref) <= 1e-12 * abs(ref)
+
+
+def test_self_terms_keep_their_kernel_instead_of_their_cost():
+    a, b = workspace_pair(86)
+    solved = solve_terms(a, b, SQ, KL(0.1), 1e-2, "s")
+    for term in (solved.self_a, solved.self_b):
+        assert term.cost is None and term._half.cost is None
+        # the only N x N array either holds is the kernel
+        held = [v for obj in (term, term._half) for v in vars(obj).values()
+                if isinstance(v, np.ndarray) and v.ndim == 2]
+        assert len(held) == 1 and held[0] is term._half.kernel
+    assert np.all(np.isfinite(solved.grad_positions().d_points_a))
 
 
 # --------------------------------------------------- spatially varying KL

@@ -368,7 +368,7 @@ def test_flow_steps_read_their_plans_off_the_kernels(monkeypatch, entropy):
                         solve_tol=1e-6, mass_rate="eta_r")
     flow_step(state, target, SQ, params)
     assert plans == []
-    # TV's dual value sums the plan: the target's self term once, and the
-    # cross and particles' self term at each snapshot
+    # TV's dual value sums the cross plan at each snapshot; self terms read
+    # their plan mass off their kernels
     traj = run_flow(state, target, SQ, params, snapshot_every=2)
-    assert len(plans) == (0 if entropy.smooth else 1 + 2 * len(traj))
+    assert len(plans) == (0 if entropy.smooth else len(traj))

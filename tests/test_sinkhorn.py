@@ -259,6 +259,23 @@ def test_non_finite_parameters_raise_naming_them(make, name):
         make()
 
 
+@pytest.mark.parametrize("max_iter", [1e4, 100.0, NAN, INF, "100", None])
+def test_non_integral_max_iter_raises_naming_it(max_iter):
+    # the loop's range() takes integers only, so the options check first
+    for make in (lambda: SolveOptions(max_iter=max_iter),
+                 lambda: FlowParams(solve_max_iter=max_iter)):
+        with pytest.raises(DomainError, match="max_iter"):
+            make()
+
+
+def test_numpy_integer_max_iter_is_accepted():
+    a, b, cost = dirac_pair(0.5)
+    opts = SolveOptions(max_iter=np.int64(3))
+    assert FlowParams(solve_max_iter=np.int32(5)).solve_max_iter == 5
+    _, report = solve(a, b, cost, KL(1.0), 0.5, opts)
+    assert report.iterations <= 3
+
+
 def test_solve_null_measure_rejected():
     a = DiscreteMeasure([1.0], [[0.0]])
     null = DiscreteMeasure([], [])
@@ -443,7 +460,7 @@ def test_dirac_pair_sweeps_match_the_array_half_update(monkeypatch, entropy,
         if symmetric:
             tf = half_update(eps, entropy, a, f, np.zeros((1, 1)))
             history.append(float(np.abs(tf - f).max()))
-            f = 0.5 * (f + tf)
+            f = f + 2 / 3 * (tf - f)
         else:
             g_new = half_update(eps, entropy, a, f + translate(f, g), cost.T)
             f_new = half_update(eps, entropy, b, g_new, cost)
@@ -491,6 +508,25 @@ def test_symmetric_balanced_two_point_measure_gives_constant():
     f, rep = solve_symmetric(a, cost, Balanced(), 0.5, SolveOptions(tol=1e-12))
     assert rep.converged
     assert np.max(f) - np.min(f) <= 1e-10
+
+
+@pytest.mark.parametrize("eps", [1e-3, 0.05])
+@pytest.mark.parametrize("entropy", [
+    KL(0.1), KL(10.0), Power(0.1, 0.5), Berg(0.1), TV(0.1), Range(0.7, 1.4),
+    Balanced()], ids=["kl", "kl-10", "power", "berg", "tv", "range",
+                      "balanced"])
+def test_symmetric_solves_contract_at_a_third(entropy, eps):
+    # the 2/3 step contracts at 1/3, the averaged map at 1/2 (see
+    # solve_symmetric); the ratios of successive updates show the rate
+    rng = np.random.default_rng(60)
+    n = 60
+    a = DiscreteMeasure(rng.uniform(0.5, 1.5, n) / n, rng.random((n, 2)))
+    _, report = solve_symmetric(a, SQ.pairwise(a.points, a.points), entropy,
+                                eps, SolveOptions(record_history=True))
+    assert report.converged
+    history = np.array(report.update_history)
+    ratios = history[1:] / history[:-1]
+    assert np.all(ratios[len(ratios) // 2:] <= 0.4)
 
 
 # ---------------------------------------------------------------- extrapolate
@@ -767,7 +803,7 @@ def exact_sweep(symmetric, a, b, entropy, eps, f, g):
     if symmetric:
         cost = SQ.pairwise(a.points, a.points)
         tf = half_update(eps, entropy.at(a.points), a, f, cost)
-        return [0.5 * (f + tf)]
+        return [f + 2 / 3 * (tf - f)]
     cost = SQ.pairwise(a.points, b.points)
     if isinstance(entropy, KL) and entropy.rho_fn is None:
         # a uniform KL loop translates the g half-update's input
