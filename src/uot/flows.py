@@ -108,8 +108,8 @@ class FlowParams:
                 raise DomainError(f"{name} must be nonnegative and finite")
         if not 0 < self.eps < math.inf:
             raise DomainError("eps must be positive and finite")
-        if self.steps < 0:
-            raise DomainError("steps must be >= 0")
+        if not (isinstance(self.steps, (int, np.integer)) and self.steps >= 0):
+            raise DomainError("steps must be an integer >= 0")
         # the solver's checks of tol and max_iter, before the flow runs
         SolveOptions(tol=self.solve_tol, max_iter=self.solve_max_iter)
         if self.mass_rate not in ("printed", "eta_r"):
@@ -214,8 +214,9 @@ def run_flow(init: FlowState, target: DiscreteMeasure, cost: CostSpec,
     every solve since the previous snapshot, the target's self solve in
     the first: a ``max_iter`` stop anywhere in the flow shows there.
     """
-    if snapshot_every < 1:
-        raise DomainError("snapshot_every must be >= 1")
+    if not (isinstance(snapshot_every, (int, np.integer))
+            and snapshot_every >= 1):
+        raise DomainError("snapshot_every must be an integer >= 1")
     workspace = _FlowWorkspace(target, cost, params)
     workspace.target_term = _term(target, target, cost, params.entropy,
                                   params.eps, workspace._opts("asymptotic"),

@@ -154,6 +154,23 @@ def test_flow_decreases_divergence_small_scale():
     assert traj[-1].s_eps < 0.2 * traj[0].s_eps
 
 
+@pytest.mark.parametrize("steps", [2.5, 3.0, float("nan"), "3", None])
+def test_non_integral_step_counts_raise_naming_them(steps):
+    # range() takes integers only: a float step count raised TypeError in
+    # run_flow, and snapshot_every=1.5 snapshotted every third step
+    with pytest.raises(DomainError, match="steps"):
+        FlowParams(steps=steps)
+    rng = np.random.default_rng(66)
+    target, src = blob(rng, 5, 0.7, 1.0), blob(rng, 5, 0.3, 1.0)
+    state = FlowState(src.points, np.sqrt(src.weights))
+    params = FlowParams(entropy=KL(0.1), eps=0.01, steps=np.int64(2))
+    with pytest.raises(DomainError, match="snapshot_every"):
+        run_flow(state, target, SQ, params,
+                 snapshot_every=1.5 if steps is None else steps)
+    assert len(run_flow(state, target, SQ, params,
+                        snapshot_every=np.int32(1))) == 3
+
+
 def test_flow_params_validation():
     with pytest.raises(DomainError):
         FlowParams(eta_x=-1.0)

@@ -447,7 +447,8 @@ def test_g_only_init_saves_sweeps_on_the_solver_tour_resolve():
 def test_dirac_pair_sweeps_match_the_array_half_update(monkeypatch, entropy,
                                                        mass, symmetric):
     # a Dirac pair runs the array loop of larger problems: without the
-    # kernel cache every sweep equals, bit for bit, one through half_update
+    # kernel cache every sweep equals, bit for bit, one through half_update,
+    # the cross loop's relaxed steps (Berg's pair relaxes) included
     monkeypatch.setattr(uot.sinkhorn, "_KERNEL_DRIFT", 0.0)
     a, b, cost = dirac_pair(0.7, 1.0, mass)
     eps, f, g = 0.05, np.array([0.3]), np.array([-0.2])
@@ -455,18 +456,22 @@ def test_dirac_pair_sweeps_match_the_array_half_update(monkeypatch, entropy,
                         record_history=True)
     translate = (uot.sinkhorn._kl_translation(entropy.rho, a, b)
                  if isinstance(entropy, KL) else lambda f, g: 0.0)
-    history = []
+    relax, history = uot.sinkhorn._Relaxation(), []
     for _ in range(opts.max_iter):
         if symmetric:
             tf = half_update(eps, entropy, a, f, np.zeros((1, 1)))
             history.append(float(np.abs(tf - f).max()))
             f = f + 2 / 3 * (tf - f)
         else:
-            g_new = half_update(eps, entropy, a, f + translate(f, g), cost.T)
-            f_new = half_update(eps, entropy, b, g_new, cost)
-            history.append(max(float(np.abs(f_new - f).max()),
-                               float(np.abs(g_new - g).max())))
-            f, g = f_new, g_new
+            omega, lam = relax.omega, translate(f, g)
+            tg = half_update(eps, entropy, a, f + lam, cost.T)
+            g_new = tg if omega == 1.0 else tg + (omega - 1) * (tg - g + lam)
+            tf = half_update(eps, entropy, b, g_new, cost)
+            f_new = tf if omega == 1.0 else tf + (omega - 1) * (tf - f - lam)
+            history.append(relax.observe(max(float(np.abs(tf - f).max()),
+                                             float(np.abs(tg - g).max()))))
+            # the solve returns the f half-update's output with its input
+            f, g, returned = f_new, g_new, (tf, g_new)
         if history[-1] <= opts.tol:
             break
     if symmetric:
@@ -475,7 +480,8 @@ def test_dirac_pair_sweeps_match_the_array_half_update(monkeypatch, entropy,
     else:
         pots, report = solve(a, b, cost, entropy, eps, opts)
         assert pots.f.shape == pots.g.shape == (1,)
-        assert np.array_equal(pots.f, f) and np.array_equal(pots.g, g)
+        assert (np.array_equal(pots.f, returned[0])
+                and np.array_equal(pots.g, returned[1]))
     assert report.update_history == history
 
 
@@ -1005,3 +1011,74 @@ def test_only_uniform_kl_solves_translate(monkeypatch, entropy, mass_b):
                            0.05)[1].converged
     with pytest.raises(AssertionError, match="plain loop"):
         solve(a, b, cost, KL(1.0), 0.05)
+
+
+# ---------------------------------------------------------------- relaxation
+
+
+def uniform_clouds(seed, n, mass_b):
+    rng = np.random.default_rng(seed)
+    return (DiscreteMeasure(np.full(n, 1 / n), rng.random((n, 2))),
+            DiscreteMeasure(np.full(n, mass_b / n), rng.random((n, 2))))
+
+
+def plain_and_relaxed(monkeypatch, a, b, cost, entropy, eps, **opts):
+    """``solve`` with the relaxation capped at 1, the plain loop, then as
+    it ships."""
+    results = []
+    for cap in (1.0, uot.sinkhorn._OMEGA_MAX):
+        monkeypatch.setattr(uot.sinkhorn, "_OMEGA_MAX", cap)
+        results.append(solve(a, b, cost, entropy, eps, SolveOptions(**opts)))
+    return results
+
+
+@pytest.mark.parametrize("eps, entropy, seeds", [
+    *[(1e-2, entropy, (70, 71, 72, 73)) for entropy in (
+        KL(1.0), KL(0.1), TV(0.1), Range(0.5, 1.5), Balanced(),
+        Power(1.0, 0.5), Berg(1.0))],
+    # without its fall-back a relaxed loop holds Range's seed 80 in a
+    # limit cycle up to max_iter; the plain loop needs 364 sweeps
+    (1e-3, Range(0.5, 1.5), (70, 80)), (1e-3, TV(0.1), (73,))],
+    ids=["kl-1", "kl-0.1", "tv", "range", "balanced", "power", "berg",
+         "range-0.001", "tv-0.001"])
+def test_relaxation_never_loses_to_the_plain_loop(monkeypatch, eps, entropy,
+                                                  seeds):
+    for seed in seeds:
+        a, b = uniform_clouds(seed, 40, 1.0 if entropy.name == "balanced"
+                              else 1.2)
+        cost = SQ.pairwise(a.points, b.points)
+        (plain, plain_report), (relaxed, report) = plain_and_relaxed(
+            monkeypatch, a, b, cost, entropy, eps, tol=1e-9, max_iter=40000)
+        assert plain_report.converged and report.converged
+        assert report.iterations <= plain_report.iterations
+        if eps < 1e-2:
+            assert report.iterations < plain_report.iterations
+        value = dual_value(plain, a, b, cost)
+        assert dual_value(relaxed, a, b, cost) == pytest.approx(value,
+                                                                rel=1e-10)
+
+
+@pytest.mark.parametrize("instance", ["criterion-2", "kl", "power"])
+def test_loops_contracting_faster_than_the_threshold_never_relax(
+        monkeypatch, instance):
+    if instance == "criterion-2":
+        # the first instance of acceptance criterion 2
+        rng = np.random.default_rng(2024)
+        a, b = (DiscreteMeasure(rng.uniform(0.5, 1.5, 50) / 50,
+                                rng.random((50, 2))) for _ in range(2))
+        entropy, eps, tol = KL(1.0), 0.1, 3e-4
+    else:
+        # a 250-atom solve of the grad-cli benchmark
+        rng = np.random.default_rng([1, 250])
+        a = DiscreteMeasure(rng.uniform(0.5, 1.5, 250) / 250,
+                            rng.random((250, 2)))
+        b = DiscreteMeasure(rng.uniform(0.5, 1.5, 250) / 250 * 1.2,
+                            rng.random((250, 2)))
+        entropy = KL(0.1) if instance == "kl" else Power(0.1, 0.5)
+        eps, tol = 0.05, 1e-9
+    cost = SQ.pairwise(a.points, b.points)
+    (plain, plain_report), (relaxed, report) = plain_and_relaxed(
+        monkeypatch, a, b, cost, entropy, eps, tol=tol, record_history=True)
+    assert report.update_history == plain_report.update_history
+    assert np.array_equal(relaxed.f, plain.f)
+    assert np.array_equal(relaxed.g, plain.g)
