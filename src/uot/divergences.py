@@ -18,14 +18,13 @@ below, the CLI and the particle flow only read from it.
 
 The gradients read two reductions of each term's plan per side: its row
 sums (weights) and the cost-gradient contraction ``sum_j pi_ij grad_x C``
-(positions).  A term keeps those, not its plan: it builds the plan when a
-side lacks what is read and drops it once every side it has is reduced,
-and the bundle reduces both sides of the cross term first.  A self term
-keeps its f half-update instead of its cost and reads everything off its
-kernel (see :mod:`uot.sinkhorn`), so an ``S_eps`` gradient holds the cross
-cost, two self kernels and one plan at a time.  A cross term keeps its
-cost, and reads side ``"a"`` off its f half-update if it owns its kernels,
-as a flow's terms do.
+(positions).  A term keeps those, not its plan, by one rule per side.
+Side ``"a"`` of a term that keeps its f half-update, a self term (instead
+of its cost) or a cross term that owns its kernels, as a flow's are, reads
+them off that kernel (see :mod:`uot.sinkhorn`).  Every other side is
+reduced from a fresh :func:`plan_matrix` plan, which serves every such
+side of the term in the same read and is dropped on return.  So an
+``S_eps`` gradient holds the cross cost, two self kernels and one plan.
 """
 
 from __future__ import annotations
@@ -104,12 +103,12 @@ def _worst_report(*reports) -> SolveReport:
 
 @dataclass(frozen=True)
 class _Buffers:
-    """The arrays a term writes into instead of allocating them: its cost
-    and its half-update kernels (``(g, f)`` for a cross solve, one for a
-    symmetric solve).  The last, the f kernel, holds side ``"a"``'s plan
-    up to row scales once the solve is done, and takes a cross term's plan
-    when side ``"b"`` needs it.  ``None`` entries are allocated on use; a
-    self term keeps its f kernel either way."""
+    """The arrays a term's solve writes into instead of allocating them:
+    its cost and its half-update kernels (``(g, f)`` for a cross solve, one
+    for a symmetric solve).  The last, the f kernel, holds side ``"a"``'s
+    plan up to row scales once the solve is done, and a cross term given
+    one keeps its f half-update to read that side.  ``None`` entries are
+    allocated on use; a self term keeps its f kernel either way."""
 
     cost: Optional[np.ndarray] = None
     kernels: tuple = (None, None)
@@ -123,10 +122,10 @@ class _Term:
     """``OT_eps(alpha, beta)`` and its solve.  Null measures and infeasible
     instances are not solved: ``pots`` stays ``None`` and the value is
     ``closed_form``.  A solved term keeps the reductions of its plan that
-    the gradients read, side by side, not the plan itself.  A self term
-    reads them and its plan mass off its f half-update and keeps no
-    ``cost``; a cross term keeps its cost, and reads side ``"a"`` off its
-    f half-update if it owns its kernels."""
+    the gradients read, side by side, not the plan itself (see
+    :meth:`reductions`).  A self term reads them and its plan mass off its
+    f half-update and keeps no ``cost``; a cross term keeps its cost, and
+    its f half-update too if it owns its kernels."""
 
     alpha: DiscreteMeasure
     beta: DiscreteMeasure
@@ -134,10 +133,7 @@ class _Term:
     pots: Optional[DualPotentials] = None
     cost: Optional[np.ndarray] = None
     closed_form: float = 0.0
-    buffers: _Buffers = _FRESH
     _half: Optional[_HalfMap] = field(default=None, repr=False)
-    _plan: Optional[np.ndarray] = field(default=None, repr=False)
-    _unread: set = field(default_factory=set, repr=False)
     _sides: dict = field(default_factory=dict, repr=False)
 
     @cached_property
@@ -162,43 +158,29 @@ class _Term:
         ``None``), with side ``"a"``'s atoms (the plan) or side ``"b"``'s
         (its transpose) as rows.
 
-        Side ``"a"`` of a term that keeps its f half-update reads
-        ``diag(rows) W`` off it (:meth:`~uot.sinkhorn._HalfMap.plan`)
-        unless the plan is built.  A cross term builds it when a side lacks
-        what is asked, into its last kernel buffer if it has one, and drops
-        it once it has served both sides.  Row sums are kept whenever the
-        plan is read, so reading positions before weights builds each plan
-        once.
+        Side ``"a"`` of a term that keeps its f half-update reads them off
+        it (:meth:`~uot.sinkhorn._HalfMap.reductions`).  Any other side
+        builds a plan, which also serves side ``"a"`` of a term without a
+        half-update, and drops it.  Row sums come with every reduction, so
+        reading positions before weights builds each plan once.
         """
         sums, contraction = self._sides.get(side, (None, None))
         if sums is None or (cost is not None and contraction is None):
             if self.pots is None:
                 raise DomainError("gradients need non-null measures and a "
                                   "feasible instance")
-            _, own, other = self.oriented(side)
-            rows = None
             if side == "a" and self._half is not None:
-                # the plan is diag(rows) W, W in the f half-update's kernel
-                rows, plan = self._half.plan(own.log_weights, self.pots.f)
+                pot, own, other = self.oriented(side)
+                self._sides[side] = self._half.reductions(own, pot, other, cost)
             else:
-                if self._plan is None:
-                    self._plan = plan_matrix(self.pots, self.alpha, self.beta,
-                                             self.cost,
-                                             out=self.buffers.kernels[-1])
-                    self._half = None
-                    self._unread = {"a", "b"}
-                plan = self._plan if side == "a" else self._plan.T
-            if sums is None:
-                sums = (plan.sum(axis=1) if rows is None
-                        else rows * self._half.r)
-            if cost is not None:
-                contraction = cost.grad_x(own.points, other.points, plan)
-                if rows is not None:
-                    contraction *= rows[:, None]
-            self._sides[side] = (sums, contraction)
-            self._unread.discard(side)
-            if not self._unread:
-                self._plan = None
+                # the sides a plan serves are reduced together: all lack it
+                plan = plan_matrix(self.pots, self.alpha, self.beta, self.cost)
+                for s in "ab" if self._half is None else "b":
+                    _, own, other = self.oriented(s)
+                    rows = plan if s == "a" else plan.T
+                    contraction = (None if cost is None else cost.grad_x(
+                        own.points, other.points, rows))
+                    self._sides[s] = rows.sum(axis=1), contraction
         return self._sides[side]
 
 
@@ -234,7 +216,7 @@ def _term(alpha, beta, cost, entropy, eps, opts, symmetric=False,
     else:
         pots, report = solve(alpha, beta, c_matrix, entropy, eps, opts,
                              kernels=buffers.kernels, _halves=halves)
-    return _Term(alpha, beta, report, pots, c_matrix, buffers=buffers,
+    return _Term(alpha, beta, report, pots, c_matrix,
                  _half=halves[0] if halves else None)
 
 
@@ -307,24 +289,16 @@ class _Solved:
             grad = grad - own_term.reductions("a", self.cost)[1]
         return grad
 
-    def _both_sides(self, grad, cost=None):
-        """``grad("a"), grad("b")``, once both cross sides are reduced
-        (with ``cost``, see :meth:`_Term.reductions`), so the cross plan is
-        dropped before a self term builds its own."""
-        for side in "ab":
-            self.cross.reductions(side, cost)
-        return grad("a"), grad("b")
-
     def grad_weights(self) -> Gradients:
         if not self.entropy.smooth:
             raise UnsupportedEntropyError(
                 f"weight gradients undefined for {self.entropy.name}")
-        d_a, d_b = self._both_sides(self.weight_grad)
-        return Gradients(d_weights_a=d_a, d_weights_b=d_b)
+        return Gradients(d_weights_a=self.weight_grad("a"),
+                         d_weights_b=self.weight_grad("b"))
 
     def grad_positions(self) -> Gradients:
-        d_a, d_b = self._both_sides(self.position_grad, self.cost)
-        return Gradients(d_points_a=d_a, d_points_b=d_b)
+        return Gradients(d_points_a=self.position_grad("a"),
+                         d_points_b=self.position_grad("b"))
 
 
 def _self_opts(opts):

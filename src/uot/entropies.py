@@ -189,6 +189,8 @@ class KL(Entropy):
     def __post_init__(self):
         if not np.all((0 < self.rho) & (self.rho < _INF)):
             raise DomainError("KL requires finite strengths rho > 0")
+        if self.rho_fn is not None and not callable(self.rho_fn):
+            raise DomainError("KL's rho_fn must be callable or None")
 
     def at(self, points: np.ndarray) -> "KL":
         if self.rho_fn is None:
@@ -241,7 +243,13 @@ class KL(Entropy):
                        * math.log(other_m.total_mass))
 
     def spec_string(self):
+        if self.rho_fn is not None:
+            raise DomainError("a spatially varying KL has no spec string")
         return f"kl:rho={self.rho!r}"
+
+    def __repr__(self):
+        return (self.spec_string() if self.rho_fn is None
+                else f"KL(rho={self.rho!r}, rho_fn={self.rho_fn!r})")
 
 
 @dataclass(frozen=True, repr=False)

@@ -67,11 +67,12 @@ The f half-update's last call holds the plan at the potentials it returns:
 with ``s`` its softmin before ``damp`` and ``r`` its row sums, ``pi =
 diag(R) W``, ``W = K diag(e)``, ``R = a exp((f - s)/eps) / r``, the row
 sums are ``R r = a exp((f - s)/eps)`` and the plan mass is their sum, no
-N x M pass.  Self terms, and the particles' side of a flow's cross term,
-read their plans so, forming ``W`` in the kernel (no pass after a
+N x M pass.  ``_HalfMap.reductions`` returns what gradients read of it,
+the row sums and ``R`` times a cost-gradient contraction of ``W``, which
+it forms in the kernel for the contraction only (no pass after a
 rebuild): its entries lie in ``[e^-700, e^30]``, normal doubles, while
 ``R`` can be tiny, so ``diag(R) K diag(e)`` formed entry by entry goes
-subnormal.
+subnormal.  Self terms and a flow's cross term read side ``"a"`` so.
 
 For KL the plain loop contracts at ``(rho / (rho + eps))^2``, close to 1
 when ``rho >> eps``, and the slow mode is that mass translation,
@@ -206,7 +207,7 @@ class _HalfMap:
     spans less than ``_KERNEL_DRIFT`` (see the module docstring).  The last
     call's softmin ``s`` (before ``damp``), row sums ``r`` and
     ``e = exp(d - lo)`` (``None`` after a rebuild) stay readable, and with
-    them :meth:`plan` reads the plan off the kernel.
+    them :meth:`reductions` reduces the plan off the kernel.
     """
 
     def __init__(self, eps, entropy, log_w, cost, kernel=None):
@@ -235,13 +236,20 @@ class _HalfMap:
         on the rows (log weights ``log_w``) and the last input."""
         return np.exp(log_w + (pot - self.s) / self.eps)
 
-    def plan(self, log_w, pot):
-        """``(R, W)``, that plan as ``diag(R) W``, ``W`` formed in the
-        kernel, which the next call rebuilds (see the module docstring)."""
-        if self.e is not None:
-            self.kernel *= self.e
-            self.ref = self.e = None
-        return self.row_masses(log_w, pot) / self.r, self.kernel
+    def reductions(self, own, pot, other, cost=None):
+        """That plan's row sums, ``pot`` on ``own``'s atoms and the last
+        input on ``other``'s, and given ``cost`` its ``sum_j pi_ij grad_x
+        C`` (else ``None``), off ``W`` formed in the kernel, which the next
+        call rebuilds (see the module docstring)."""
+        rows = self.row_masses(own.log_weights, pot) / self.r
+        contraction = None
+        if cost is not None:
+            if self.e is not None:
+                self.kernel *= self.e
+                self.ref = self.e = None
+            contraction = cost.grad_x(own.points, other.points, self.kernel)
+            contraction *= rows[:, None]
+        return rows * self.r, contraction
 
 
 def _kl_translation(rho, alpha, beta):
@@ -329,8 +337,8 @@ class SolveOptions:
     half-update, which suits a re-solve whose ``beta`` side is unchanged
     (see the ``sinkhorn`` module docstring).  ``solve_symmetric`` also
     takes a bare vector and reads ``f`` from an ``(f, g)`` pair.  Any other
-    value, or a vector of the wrong length, raises ``DomainError`` when the
-    solve starts.
+    value, or a vector of the wrong length or with a non-finite entry,
+    raises ``DomainError`` when the solve starts.
     """
 
     tol: float = 1e-9
@@ -434,6 +442,8 @@ def _initial(init, entropy, eps, alpha, beta, cost, symmetric=False):
     if any(vec is not None and vec.shape != (len(own),)
            for vec, (own, _, _) in zip(out, sides)):
         raise DomainError("an init vector needs one entry per atom")
+    if any(vec is not None and not np.all(np.isfinite(vec)) for vec in out):
+        raise DomainError("an init vector needs finite entries")
     return out
 
 
@@ -472,7 +482,7 @@ def solve(alpha: DiscreteMeasure, beta: DiscreteMeasure, cost: np.ndarray,
     that the g and f half-updates keep their kernels in instead of
     allocating them; one that overlaps ``cost`` or the other raises
     ``DomainError``.  A list ``_halves`` receives the f half-update, whose
-    last input is the returned ``g`` (see :meth:`_HalfMap.plan`).
+    last input is the returned ``g`` (see :meth:`_HalfMap.reductions`).
     """
     opts = opts or SolveOptions()
     cost = _check_entry(alpha, beta, cost, eps)
@@ -582,11 +592,8 @@ def extrapolate(pots: DualPotentials, side: str, m_other: DiscreteMeasure,
 
 
 def plan_matrix(pots: DualPotentials, alpha: DiscreteMeasure,
-                beta: DiscreteMeasure, cost: np.ndarray,
-                out: Optional[np.ndarray] = None) -> np.ndarray:
-    """Implicit transport plan ``pi_ij = a_i b_j exp((f_i + g_j - C_ij)/eps)``,
-    written into ``out`` if given: an N x M float array that overlaps none
-    of ``cost``, ``f`` and ``g``, or ``DomainError`` is raised.
+                beta: DiscreteMeasure, cost: np.ndarray) -> np.ndarray:
+    """Implicit transport plan ``pi_ij = a_i b_j exp((f_i + g_j - C_ij)/eps)``.
 
     Entries below ``e^-700`` (about 1e-304) are exactly 0.  Inputs are
     checked as in :func:`solve`, and ``f`` and ``g`` need one entry per atom.
@@ -596,7 +603,7 @@ def plan_matrix(pots: DualPotentials, alpha: DiscreteMeasure,
     cost = _check_entry(alpha, beta, cost, pots.eps)
     if (pots.f.shape, pots.g.shape) != ((len(alpha),), (len(beta),)):
         raise DomainError("potentials need one entry per atom")
-    pi = _out_array(out, (len(alpha), len(beta)), cost, pots.f, pots.g)
+    pi = np.empty((len(alpha), len(beta)))
     log_a, log_b = alpha.log_weights, beta.log_weights
     rows, blocks = _row_blocks(*pi.shape)
     # one block's log a (+) log b and mask of entries below the floor

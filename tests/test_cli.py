@@ -107,6 +107,14 @@ def test_non_finite_parameters_exit_1_naming_them(dirac_files, capsys, args,
     assert err.startswith("error: ") and name in err
 
 
+@pytest.mark.parametrize("command", ["div", "grad"])
+def test_non_callable_rho_fn_exits_1_naming_it(dirac_files, capsys, command):
+    a, b = dirac_files
+    assert main([command, "--entropy", "kl:rho_fn=1", a, b]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "rho_fn" in err
+
+
 def test_grad_schema(dirac_files, capsys):
     a, b = dirac_files
     code = main(["grad", "--entropy", "kl:rho=1", "--eps", "0.5",

@@ -482,7 +482,7 @@ def test_position_gradient_matches_the_tensor_contraction(d):
 def test_position_gradients_build_no_cost_gradient_tensor(traced_peak):
     # each contraction is a row sum and a matrix product with the plan; the
     # N x M x 2 tensor of cost gradients took 2 N x M arrays.  The first
-    # side read builds the plan, which the cross term keeps for the other
+    # side read builds the plan and reduces the other side from it too
     n = 300
     rng = np.random.default_rng(61)
     a, b = random_measure(rng, n), random_measure(rng, n)
@@ -614,13 +614,43 @@ def test_a_rebuilt_f_kernel_is_the_plan_up_to_row_scales(monkeypatch,
     assert_reductions_match_the_plan(term, "a", SQ, plan)
 
 
-def test_a_plan_built_into_the_f_kernel_serves_both_sides():
-    # side "b" builds the plan into the f kernel, so side "a" reads that
+def test_side_b_builds_one_plan_and_side_a_reads_the_f_kernel(monkeypatch):
+    # side "b" of a workspace cross term is reduced from a fresh plan,
+    # which leaves the f kernel to side "a"
     a, b = workspace_pair(83)
     term = workspace_term(a, b, SQ, KL(0.1), 1e-3)
     plan = plan_matrix(term.pots, a, b, term.cost)
+    kernel = term._half.kernel.copy()
+    built = []
+
+    def counted(*args):
+        built.append(args)
+        return plan_matrix(*args)
+
+    monkeypatch.setattr(uot.divergences, "plan_matrix", counted)
     assert_reductions_match_the_plan(term, "b", SQ, plan.T)
+    assert len(built) == 1
+    assert np.array_equal(term._half.kernel, kernel)
+    no_plan_matrix(monkeypatch)
     assert_reductions_match_the_plan(term, "a", SQ, plan)
+
+
+@pytest.mark.parametrize("owned", [False, True], ids=["fresh", "workspace"])
+def test_a_weights_read_leaves_the_self_kernel_unchanged(monkeypatch, owned):
+    # row sums need no W = K diag(e); a position read forms it later
+    a, _ = workspace_pair(87)
+    term = (workspace_term(a, a, SQ, KL(0.1), 1e-3, symmetric=True)
+            if owned else _term(a, a, SQ, KL(0.1), 1e-3,
+                                SolveOptions(max_iter=3000), symmetric=True))
+    assert term._half.e is not None
+    kernel = term._half.kernel.copy()
+    no_plan_matrix(monkeypatch)
+    sums, contraction = term.reductions("a")
+    assert contraction is None
+    assert np.array_equal(term._half.kernel, kernel)
+    plan = plan_matrix(term.pots, a, a, SQ.pairwise(a.points, a.points))
+    assert_reductions_match_the_plan(term, "a", SQ, plan)
+    assert np.array_equal(term.reductions("a")[0], sums)
 
 
 @pytest.mark.parametrize("entropy", [KL(0.1), TV(0.1), Balanced()],

@@ -1,11 +1,16 @@
+import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from uot import (KL, TV, Balanced, Berg, CostSpec, DiscreteMeasure,
-                 DomainError, Power, Range, UnsupportedEntropyError, feasible,
-                 hellinger, lambert_w, parse_entropy)
+                 DomainError, DualPotentials, Power, Range,
+                 UnsupportedEntropyError, feasible, hellinger, lambert_w,
+                 parse_entropy)
 
 ALL = [Balanced(), KL(1.0), TV(1.0), Range(a=0.5, b=1.5), Power(1.0, s=0.5),
        Power(1.0, s=-1.0), Berg(1.0)]
@@ -363,6 +368,49 @@ def test_parse_entropy_errors():
         parse_entropy("kl:rho")
     with pytest.raises(DomainError):
         parse_entropy("kl:sigma=1")
+
+
+def test_kl_rho_fn_must_be_callable():
+    for make in (lambda: KL(1.0, rho_fn=1.0),
+                 lambda: parse_entropy("kl:rho_fn=1")):
+        with pytest.raises(DomainError, match="rho_fn"):
+            make()
+
+
+def test_spatially_varying_kl_has_no_spec_string():
+    # "kl:rho=1.0" would read back as a uniform KL
+    varying = KL(1.0, rho_fn=lambda pts: 0.5 + pts[:, 0])
+    pots = DualPotentials(np.zeros(2), np.zeros(3), 0.1, varying)
+    for call in (varying.spec_string, pots.to_dict):
+        with pytest.raises(DomainError, match="spatially varying"):
+            call()
+    assert "rho_fn=" in repr(varying)
+
+
+strengths = st.floats(min_value=0.0, max_value=1e300, exclude_min=True)
+penalties = st.one_of(
+    st.just(Balanced()), st.builds(KL, strengths), st.builds(TV, strengths),
+    st.builds(Berg, strengths),
+    st.builds(Range, st.floats(0.0, 1.0), st.floats(1.0, 1e300)),
+    st.builds(Power, strengths,
+              st.floats(-1e300, 1.0, exclude_max=True).filter(bool)))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=500)
+@given(penalties)
+def test_spec_strings_round_trip(entropy):
+    assert parse_entropy(entropy.spec_string()) == entropy
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(penalties, strengths,
+       *[hnp.arrays(float, st.integers(1, 6),
+                    elements=st.floats(-1e300, 1e300)) for _ in "fg"])
+def test_dual_potentials_round_trip_exactly(entropy, eps, f, g):
+    pots = DualPotentials(f, g, eps, entropy)
+    back = DualPotentials.from_dict(json.loads(json.dumps(pots.to_dict())))
+    assert np.array_equal(back.f, f) and np.array_equal(back.g, g)
+    assert back.eps == eps and back.entropy == entropy
 
 
 def test_parameter_validation():
