@@ -19,12 +19,16 @@ below, the CLI and the particle flow only read from it.
 The gradients read two reductions of each term's plan per side: its row
 sums (weights) and the cost-gradient contraction ``sum_j pi_ij grad_x C``
 (positions).  A term keeps those, not its plan, by one rule per side.
-Side ``"a"`` of a term that keeps its f half-update, a self term (instead
-of its cost) or a cross term that owns its kernels, as a flow's are, reads
-them off that kernel (see :mod:`uot.sinkhorn`).  Every other side is
+Side ``"a"`` of a term that keeps its f half-update, a self term or a
+cross term that owns its kernels, as a flow's are, reads them off that
+kernel (see :mod:`uot.sinkhorn`).  Such a term solves a squared-Euclidean
+cost on its points and builds no cost matrix.  Every other side is
 reduced from a fresh :func:`plan_matrix` plan, which serves every such
-side of the term in the same read and is dropped on return.  So an
-``S_eps`` gradient holds the cross cost, two self kernels and one plan.
+side of the term in the same read and is dropped on return.  A cross term
+without kernels, which reads side ``"b"`` on every gradient, solves on
+its cost matrix and keeps it for those plans; other terms build one for
+the read.  So an ``S_eps`` gradient holds the cross cost, the two self
+kernels and one plan, and a flow step its three kernels.
 """
 
 from __future__ import annotations
@@ -41,7 +45,8 @@ from .errors import DomainError, UnsupportedEntropyError
 from .measures import CostSpec, DiscreteMeasure
 from .sinkhorn import (CONVERGED, INFEASIBLE, DualPotentials, SolveOptions,
                        SolveReport, _check_eps, _check_unbound, _HalfMap,
-                       half_update, plan_matrix, solve, symmetric_potentials)
+                       _SqPoints, half_update, plan_matrix, solve,
+                       symmetric_potentials)
 
 _INF = math.inf
 
@@ -101,22 +106,6 @@ def _worst_report(*reports) -> SolveReport:
                        max(r.final_update for r in reports))
 
 
-@dataclass(frozen=True)
-class _Buffers:
-    """The arrays a term's solve writes into instead of allocating them:
-    its cost and its half-update kernels (``(g, f)`` for a cross solve, one
-    for a symmetric solve).  The last, the f kernel, holds side ``"a"``'s
-    plan up to row scales once the solve is done, and a cross term given
-    one keeps its f half-update to read that side.  ``None`` entries are
-    allocated on use; a self term keeps its f kernel either way."""
-
-    cost: Optional[np.ndarray] = None
-    kernels: tuple = (None, None)
-
-
-_FRESH = _Buffers()
-
-
 @dataclass
 class _Term:
     """``OT_eps(alpha, beta)`` and its solve.  Null measures and infeasible
@@ -124,14 +113,16 @@ class _Term:
     ``closed_form``.  A solved term keeps the reductions of its plan that
     the gradients read, side by side, not the plan itself (see
     :meth:`reductions`).  A self term reads them and its plan mass off its
-    f half-update and keeps no ``cost``; a cross term keeps its cost, and
-    its f half-update too if it owns its kernels."""
+    f half-update; a cross term that owns its kernels reads side ``"a"``
+    so.  Only a cross term solved on a cost matrix keeps it, as ``cost``;
+    other terms build one from ``spec`` for each read that needs it."""
 
     alpha: DiscreteMeasure
     beta: DiscreteMeasure
     report: SolveReport
     pots: Optional[DualPotentials] = None
     cost: Optional[np.ndarray] = None
+    spec: Optional[CostSpec] = None
     closed_form: float = 0.0
     _half: Optional[_HalfMap] = field(default=None, repr=False)
     _sides: dict = field(default_factory=dict, repr=False)
@@ -140,11 +131,21 @@ class _Term:
     def ot(self) -> float:
         if self.pots is None:
             return self.closed_form
+        if self.cost is None and self.beta is self.alpha:
+            # a self term reads its plan mass off its kernel
+            return _dual_value(self.pots, self.alpha, self.beta, lambda: float(
+                np.sum(self._half.row_masses(self.alpha.log_weights,
+                                             self.pots.f))))
+        if self.cost is None and self.pots.entropy.smooth:
+            # the plan mass is pointwise: no matrix to build
+            return _dual_value(self.pots, self.alpha, self.beta, None)
+        return dual_value(self.pots, self.alpha, self.beta, self._matrix())
+
+    def _matrix(self):
+        """The cost matrix: the one the solve read, or one built now."""
         if self.cost is not None:
-            return dual_value(self.pots, self.alpha, self.beta, self.cost)
-        return _dual_value(self.pots, self.alpha, self.beta, lambda: float(
-            np.sum(self._half.row_masses(self.alpha.log_weights,
-                                         self.pots.f))))
+            return self.cost
+        return self.spec.pairwise(self.alpha.points, self.beta.points)
 
     def oriented(self, side):
         """Potential, own and other measure for side ``"a"`` or ``"b"``."""
@@ -174,7 +175,8 @@ class _Term:
                 self._sides[side] = self._half.reductions(own, pot, other, cost)
             else:
                 # the sides a plan serves are reduced together: all lack it
-                plan = plan_matrix(self.pots, self.alpha, self.beta, self.cost)
+                plan = plan_matrix(self.pots, self.alpha, self.beta,
+                                   self._matrix())
                 for s in "ab" if self._half is None else "b":
                     _, own, other = self.oriented(s)
                     rows = plan if s == "a" else plan.T
@@ -185,10 +187,13 @@ class _Term:
 
 
 def _term(alpha, beta, cost, entropy, eps, opts, symmetric=False,
-          buffers=_FRESH) -> _Term:
+          kernels=(None, None)) -> _Term:
     """``OT_eps(alpha, beta)``; ``symmetric`` solves ``OT_eps(alpha, alpha)``
-    for its single potential (``beta`` is ``alpha``).  Its arrays go into
-    ``buffers``."""
+    for its single potential (``beta`` is ``alpha``).  Its half-updates
+    keep their kernels in ``kernels``: ``(g, f)`` for a cross solve, one
+    for a symmetric solve, ``None`` entries allocated on use.  Given an f
+    kernel, a cross term keeps its f half-update to read side ``"a"``; a
+    self term keeps its own either way."""
     _check_eps(eps)
     _check_unbound(entropy)
     if alpha.is_null and beta.is_null:
@@ -204,19 +209,24 @@ def _term(alpha, beta, cost, entropy, eps, opts, symmetric=False,
                  else float(other.weights @ phi_zero))
         return _Term(alpha, beta, SolveReport(CONVERGED, 0, 0.0),
                      closed_form=value)
-    c_matrix = cost.pairwise(alpha.points, beta.points, out=buffers.cost)
-    # self terms, and terms owning their kernels, read plans off half-updates
-    halves = [] if symmetric or buffers.kernels[-1] is not None else None
-    if symmetric:
-        pots, report = symmetric_potentials(alpha, c_matrix, entropy, eps, opts,
-                                            kernel=buffers.kernels[0],
-                                            _halves=halves)
-        # the kernel serves every read, and the cost only rebuilds it
-        c_matrix = halves[0].cost = None
+    # self terms, and terms owning their kernels, read plans off
+    # half-updates, which build squared-Euclidean kernels from the points;
+    # a cross term without kernels reads side "b" off the cost matrix
+    halves = [] if symmetric or kernels[-1] is not None else None
+    if halves is not None and cost.power == 2.0:
+        source = _SqPoints.between(cost.scale, alpha.points, beta.points)
     else:
-        pots, report = solve(alpha, beta, c_matrix, entropy, eps, opts,
-                             kernels=buffers.kernels, _halves=halves)
-    return _Term(alpha, beta, report, pots, c_matrix,
+        source = cost.pairwise(alpha.points, beta.points)
+    if symmetric:
+        pots, report = symmetric_potentials(alpha, source, entropy, eps, opts,
+                                            kernel=kernels[0], _halves=halves)
+        # the kernel serves every read, and the cost only rebuilds it
+        halves[0].cost = None
+    else:
+        pots, report = solve(alpha, beta, source, entropy, eps, opts,
+                             kernels=kernels, _halves=halves)
+    kept = None if symmetric or isinstance(source, _SqPoints) else source
+    return _Term(alpha, beta, report, pots, kept, cost,
                  _half=halves[0] if halves else None)
 
 

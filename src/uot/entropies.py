@@ -48,6 +48,12 @@ def _ext(values, mask_finite, finite_values):
     return out
 
 
+def _num(x) -> str:
+    """A strength in a spec string: the shortest repr of its float value,
+    which :func:`parse_entropy` reads back exactly (numpy scalars too)."""
+    return repr(float(x))
+
+
 def _lambert_damp(eps, p, rho, c):
     """``eps c W((rho/eps) exp((p + rho c)/(eps c))) - rho c``: Power's
     ``damp`` with ``c = 1 - r``, and Berg's, its ``s -> 0`` limit, with c = 1."""
@@ -124,8 +130,9 @@ class Entropy:
                        other_m: DiscreteMeasure, cost_sub: np.ndarray) -> np.ndarray:
         """High-temperature initialization of the dual vector on ``self_m``.
 
-        ``cost_sub`` is the cost matrix from ``self_m``'s support (rows) to
-        ``other_m``'s support (columns).  Falls back to zero when the other
+        ``cost_sub`` is the cost from ``self_m``'s support (rows) to
+        ``other_m``'s support (columns): a matrix, or what multiplies a
+        weight vector as one does.  Falls back to zero when the other
         measure is null.
         """
         if other_m.is_null:
@@ -243,12 +250,12 @@ class KL(Entropy):
                        * math.log(other_m.total_mass))
 
     def spec_string(self):
-        if self.rho_fn is not None:
+        if self.rho_fn is not None or self.bound:
             raise DomainError("a spatially varying KL has no spec string")
-        return f"kl:rho={self.rho!r}"
+        return f"kl:rho={_num(self.rho)}"
 
     def __repr__(self):
-        return (self.spec_string() if self.rho_fn is None
+        return (self.spec_string() if self.rho_fn is None and not self.bound
                 else f"KL(rho={self.rho!r}, rho_fn={self.rho_fn!r})")
 
 
@@ -286,7 +293,7 @@ class TV(Entropy):
         return self.damp(eps, _balanced_conv_init(self_m, other_m, cost_sub))
 
     def spec_string(self):
-        return f"tv:rho={self.rho!r}"
+        return f"tv:rho={_num(self.rho)}"
 
 
 @dataclass(frozen=True, repr=False)
@@ -332,7 +339,7 @@ class Range(Entropy):
         return self.a * max(mass_a, mass_b) <= self.b * min(mass_a, mass_b)
 
     def spec_string(self):
-        return f"range:a={self.a!r},b={self.b!r}"
+        return f"range:a={_num(self.a)},b={_num(self.b)}"
 
 
 @dataclass(frozen=True, repr=False)
@@ -399,7 +406,7 @@ class Power(Entropy):
         return np.full(len(self_m), val)
 
     def spec_string(self):
-        return f"power:rho={self.rho!r},s={self.s!r}"
+        return f"power:rho={_num(self.rho)},s={_num(self.s)}"
 
 
 @dataclass(frozen=True, repr=False)
@@ -442,7 +449,7 @@ class Berg(Entropy):
         return np.full(len(self_m), self.rho * (1.0 / other_m.total_mass - 1.0))
 
     def spec_string(self):
-        return f"berg:rho={self.rho!r}"
+        return f"berg:rho={_num(self.rho)}"
 
 
 def hellinger(rho: float = 1.0) -> Power:

@@ -28,9 +28,11 @@ A snapshot's report is the worst report of every solve since the previous
 snapshot, the steps between included, so no ``max_iter`` stop goes unseen.
 
 The particle count is fixed within a flow, so the flow's workspace
-allocates every N x M array of a step once: the cross and self costs and
-the three half-update kernels.  Each term reads the particles' side of its
-plan, the only side a step reads, off its f kernel, and builds no plan.
+allocates every N x M array of a step once: the three half-update
+kernels.  For the squared-Euclidean cost both terms build them from the
+points, so a step builds no cost matrix.  Each term reads the particles'
+side of its plan, the only side a step reads, off its f kernel, and builds
+no plan.
 Freshly allocated, those arrays went back to the operating system after
 every step and were paged in again on the next: about 500 minor page
 faults a step on criterion 12's flows (a 2-core x86 VM, numpy 2.4, glibc),
@@ -45,7 +47,7 @@ from typing import List, Optional
 
 import numpy as np
 
-from .divergences import _Buffers, _Solved, _term, _worst_report
+from .divergences import _Solved, _term, _worst_report
 from .entropies import Balanced, Entropy, KL
 from .errors import DomainError
 from .measures import CostSpec, DiscreteMeasure
@@ -128,8 +130,9 @@ _EXP_CLIP = 200.0
 class _FlowWorkspace:
     """Per-run cache: the warm starts (the last two target potentials); the
     target's self term; the last bundle solved; the reports since the last
-    snapshot; and a step's N x M arrays (see the module docstring).  Each
-    term reads side ``"a"``, the particles', off its f kernel (see
+    snapshot; and a step's N x M arrays, the half-update kernels of its
+    cross and self terms (see the module docstring).  Each term reads side
+    ``"a"``, the particles', off its f kernel (see
     :meth:`~uot.divergences._Term.reductions`)."""
 
     def __init__(self, target: DiscreteMeasure, cost: CostSpec, params: FlowParams):
@@ -140,17 +143,16 @@ class _FlowWorkspace:
         self.last_g = []
         self.target_term = self.solved = None
         self.reports = []
-        self.buffers = None
+        self.kernels = None
 
-    def _step_buffers(self, alpha):
-        """The cross and self terms' buffers, sized on the first call for
+    def _step_kernels(self, alpha):
+        """The cross and self terms' kernels, sized on the first call for
         ``alpha``'s particle count, which a flow does not change."""
-        if self.buffers is None:
+        if self.kernels is None:
             n, m = len(alpha), len(self.target)
-            self.buffers = (
-                _Buffers(np.empty((n, m)), (np.empty((m, n)), np.empty((n, m)))),
-                _Buffers(np.empty((n, n)), (np.empty((n, n)),)))
-        return self.buffers
+            self.kernels = ((np.empty((m, n)), np.empty((n, m))),
+                            (np.empty((n, n)),))
+        return self.kernels
 
     def _opts(self, init):
         return SolveOptions(tol=self.params.solve_tol,
@@ -167,19 +169,19 @@ class _FlowWorkspace:
         the last ones, kept as ``self.solved``; its value needs
         ``self.target_term``.
 
-        The bundle's costs and kernels are the workspace's buffers,
+        The bundle's kernels are the workspace's buffers,
         so it is valid only until the next call, which overwrites them:
         copy what outlives it.
         """
         p = self.params
-        cross_buffers, self_buffers = self._step_buffers(alpha)
+        cross_kernels, self_kernels = self._step_kernels(alpha)
         cross = _term(alpha, self.target, self.cost, p.entropy, p.eps,
-                      self._opts(self._cross_init()), buffers=cross_buffers)
+                      self._opts(self._cross_init()), kernels=cross_kernels)
         if cross.pots is None:
             raise DomainError("flow hit an infeasible configuration")
         self_a = _term(alpha, alpha, self.cost, p.entropy, p.eps,
                        self._opts(self.warm_aa), symmetric=True,
-                       buffers=self_buffers)
+                       kernels=self_kernels)
         self.reports += [cross.report, self_a.report]
         self.warm_aa = self_a.pots.f
         self.last_g = self.last_g[-1:] + [cross.pots.g]

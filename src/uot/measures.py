@@ -88,7 +88,7 @@ class DiscreteMeasure:
 
     @property
     def total_mass(self) -> float:
-        return float(np.sum(self.weights))
+        return float(np.add.reduce(self.weights))
 
     @property
     def log_weights(self) -> np.ndarray:

@@ -29,8 +29,28 @@ floored at ``_EXP_FLOOR = -700``, just above that threshold, before ``exp``:
   instead (below).
 
 The exact softmin (``_softmin_rows``) is the only code that scales a cost
-block: it divides the cost by ``eps`` straight into its kernel buffer, so
-no solve keeps an N x M copy of ``C / eps``.
+block.  Given a matrix, it divides the cost by ``eps`` straight into its
+kernel buffer, so no solve keeps an N x M copy of ``C / eps``.  Given the
+points of a squared-Euclidean cost ``C = s |x - y|^2`` (``_SqPoints``, on
+which :mod:`uot.divergences` solves its self terms and a flow's cross
+term), it writes the exponent into that buffer as one matrix product,
+
+    [x, 1] [(2s/eps) y, log w + (pot - s |y|^2)/eps]^T,
+
+and folds the row term ``-s |x|^2 / eps`` into ``mx``, so those solves
+build no cost matrix (the form of GeomLoss and KeOps: Feydy et al.,
+AISTATS 2019; Charlier et al., JMLR 2021).  Both clouds are first centred
+on the midpoint of their two means, which puts every point within
+``1.5 sqrt(max C / s)`` of the origin, so no term of the product exceeds
+a few times ``max C / eps``.  The Gram form then rounds the softmins
+differently, by a few ulps of ``max C + max |pot|`` (at most 4.3 on 3000
+random draws with d <= 3, offsets up to 1e3 and ``eps`` down to
+``1e-5 max C``; the tests allow 16), and ``C(x, x)`` within the kernel is
+no longer exactly 0; :meth:`~uot.measures.CostSpec.pairwise` still builds
+it exactly.  Cost and kernel together take 0.16 ms instead of 0.32 at
+200 x 200 and 3.5 ms instead of 7.7 at 1000 x 1000 (a 2-core x86 VM, one
+BLAS thread), and a rebuild from the points is about 15% faster than one
+from the matrix.
 
 Each half-update of a solve keeps the kernel of its last exact softmin,
 ``K_ij = w_j exp(pot_j/eps - C_ij/eps - mx_i)``, with the row shifts ``mx``
@@ -181,21 +201,76 @@ def softmin(eps: float, measure: DiscreteMeasure, values) -> float:
     return float(smin[0])
 
 
+class _SqPoints:
+    """The cost ``C_ij = scale |x_i - y_j|^2`` kept as its points, a cost
+    source :func:`_softmin_rows` builds kernels from with one matrix
+    product (see the module docstring).  It has the ``shape``, ``T`` and
+    ``@ w`` of the matrix, which no one builds."""
+
+    def __init__(self, scale, x1, y1, sx, sy):
+        # x1 = [x, 1] and y1 = [y, 1] for the centred points x and y;
+        # sx = scale |x|^2 and sy = scale |y|^2
+        self.scale, self.x1, self.y1, self.sx, self.sy = scale, x1, y1, sx, sy
+        self.shape = (len(x1), len(y1))
+
+    @classmethod
+    def between(cls, scale, xs, ys):
+        """The cost between the points ``xs`` and ``ys``, both centred on
+        the midpoint of their two means."""
+        centre = np.add.reduce(xs) / len(xs)
+        if ys is not xs:
+            centre = 0.5 * (centre + np.add.reduce(ys) / len(ys))
+
+        def lifted(pts):
+            p1 = np.empty((len(pts), pts.shape[1] + 1))
+            p = np.subtract(pts, centre, out=p1[:, :-1])
+            p1[:, -1] = 1.0
+            return p1, scale * np.einsum("ij,ij->i", p, p)
+
+        x1, sx = lifted(xs)
+        y1, sy = (x1, sx) if ys is xs else lifted(ys)
+        return cls(scale, x1, y1, sx, sy)
+
+    @property
+    def T(self):
+        return _SqPoints(self.scale, self.y1, self.x1, self.sy, self.sx)
+
+    def __matmul__(self, w):
+        x, y = self.x1[:, :-1], self.y1[:, :-1]
+        return (self.sx * np.sum(w) + self.sy @ w
+                - (2.0 * self.scale) * (x @ (y.T @ w)))
+
+    def exponents(self, eps, log_w, pot, out=None):
+        """``log w_j + (pot_j - C_ij)/eps`` plus the row term ``scale
+        |x_i|^2 / eps``, written into ``out`` if given, and that row term.
+        The first is one product of ``[x, 1]`` and ``[(2 scale/eps) y,
+        log w + (pot - scale |y|^2)/eps]``."""
+        y1 = np.multiply(self.y1, 2.0 * self.scale / eps)
+        y1[:, -1] = log_w + (pot - self.sy) / eps
+        return np.matmul(self.x1, y1.T, out=out), self.sx / eps
+
+
 def _softmin_rows(eps, log_w, pot, cost, out=None):
-    """Row-wise exact softmin of ``cost`` with its exponents floored at
-    ``_EXP_FLOOR``.
+    """Row-wise exact softmin of ``cost``, a matrix or :class:`_SqPoints`,
+    with its exponents floored at ``_EXP_FLOOR``.
 
     Returns the softmins, the row shifts ``mx`` and the row sums of the
     kernel ``K_ij = w_j exp(pot_j/eps - C_ij/eps - mx_i)``, which it leaves
     in ``out`` if given.
     """
-    tmp = np.divide(cost, eps, out=out)
-    np.subtract((log_w + pot / eps)[None, :], tmp, out=tmp)
+    if isinstance(cost, _SqPoints):
+        tmp, row = cost.exponents(eps, log_w, pot, out)
+    else:
+        tmp = np.divide(cost, eps, out=out)
+        np.subtract((log_w + pot / eps)[None, :], tmp, out=tmp)
+        row = None
     mx = np.maximum.reduce(tmp, axis=1)
     tmp -= mx[:, None]
     np.maximum(tmp, _EXP_FLOOR, out=tmp)
     np.exp(tmp, out=tmp)
     sums = np.add.reduce(tmp, axis=1)
+    if row is not None:
+        mx -= row
     return -eps * (mx + np.log(sums)), mx, sums
 
 
@@ -212,7 +287,8 @@ class _HalfMap:
 
     def __init__(self, eps, entropy, log_w, cost, kernel=None):
         self.eps, self.entropy, self.log_w, self.cost = eps, entropy, log_w, cost
-        self.kernel = _out_array(kernel, cost.shape, cost)
+        matrix = cost if isinstance(cost, np.ndarray) else None
+        self.kernel = _out_array(kernel, cost.shape, matrix)
         self.ref = self.mx = self.s = self.r = self.e = None
 
     def __call__(self, pot):
@@ -386,7 +462,7 @@ class DualPotentials:
 
     def to_dict(self) -> dict:
         return {"f": self.f.tolist(), "g": self.g.tolist(),
-                "eps": self.eps, "entropy": self.entropy.spec_string()}
+                "eps": float(self.eps), "entropy": self.entropy.spec_string()}
 
     @classmethod
     def from_dict(cls, data: dict) -> "DualPotentials":
@@ -409,13 +485,14 @@ def _check_unbound(entropy):
 
 def _check_entry(alpha, beta, cost, eps):
     """The input checks both solvers and ``plan_matrix`` share; returns the
-    cost as floats."""
+    cost as floats, or as the :class:`_SqPoints` it is."""
     _check_eps(eps)
     if alpha.is_null or beta.is_null:
         raise DomainError("solves and plans need non-null measures; "
                           "null-measure values have closed forms in "
                           "uot.divergences")
-    cost = np.asarray(cost, dtype=float)
+    if not isinstance(cost, _SqPoints):
+        cost = np.asarray(cost, dtype=float)
     if cost.shape != (len(alpha), len(beta)):
         raise DomainError(f"cost shape {cost.shape} does not match supports "
                           f"({len(alpha)}, {len(beta)})")
@@ -477,6 +554,8 @@ def solve(alpha: DiscreteMeasure, beta: DiscreteMeasure, cost: np.ndarray,
     and a penalty that :meth:`~uot.entropies.Entropy.at` bound to atoms
     raises ``DomainError``.
 
+    ``cost`` may also be a :class:`_SqPoints`, from which the half-updates
+    build their kernels without a cost matrix.
     ``kernels``, if given, is a pair of float arrays of shapes ``(M, N)``
     and ``(N, M)``, for ``N`` atoms in ``alpha`` and ``M`` in ``beta``,
     that the g and f half-updates keep their kernels in instead of

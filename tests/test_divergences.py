@@ -11,7 +11,7 @@ from uot import (KL, TV, Balanced, Berg, CostSpec, DiscreteMeasure,
                  sinkhorn_divergence, sinkhorn_entropy, solve)
 import uot.divergences
 import uot.sinkhorn
-from uot.divergences import _Buffers, _entropy_grad, _term, solve_terms
+from uot.divergences import _entropy_grad, _term, solve_terms
 from uot.sinkhorn import extrapolate
 
 SQ = CostSpec.sq_euclidean()
@@ -293,8 +293,10 @@ def test_hausdorff_builds_its_cross_cost_once(monkeypatch, entropy, power):
 
     monkeypatch.setattr(CostSpec, "pairwise", recorded)
     value = hausdorff_divergence(a, b, cost, entropy, eps, TIGHT).value
-    # the two self costs and one cross cost
-    assert sorted(calls) == [7 * 7, 7 * 9, 9 * 9]
+    # one cross cost, and the two self costs unless the self terms build
+    # their squared-Euclidean kernels from the points
+    assert sorted(calls) == ([7 * 9] if power == 2.0
+                             else [7 * 7, 7 * 9, 9 * 9])
     assert value == expected
 
 
@@ -494,9 +496,9 @@ def test_position_gradients_build_no_cost_gradient_tensor(traced_peak):
 
 
 def test_gradients_hold_one_plan_at_a_time(traced_peak):
-    # three costs and one plan: each term reduces its plan side by side and
-    # drops it before the next term builds its own; terms that kept their
-    # plans would hold about 7 N x M arrays
+    # the cross cost, two self kernels and one plan (4.39 N x M): each term
+    # reduces its plan side by side and drops it before the next term
+    # builds its own; terms that kept their plans would hold about 7
     n = 300
     rng = np.random.default_rng(61)
     a, b = random_measure(rng, n), random_measure(rng, n)
@@ -552,7 +554,7 @@ def workspace_term(alpha, beta, cost, entropy, eps, symmetric=False):
                else (np.empty((m, n)), np.empty((n, m))))
     return _term(alpha, beta, cost, entropy, eps,
                  SolveOptions(max_iter=3000), symmetric=symmetric,
-                 buffers=_Buffers(np.empty((n, m)), kernels))
+                 kernels=kernels)
 
 
 def assert_reductions_match_the_plan(term, side, cost, plan):
@@ -619,7 +621,7 @@ def test_side_b_builds_one_plan_and_side_a_reads_the_f_kernel(monkeypatch):
     # which leaves the f kernel to side "a"
     a, b = workspace_pair(83)
     term = workspace_term(a, b, SQ, KL(0.1), 1e-3)
-    plan = plan_matrix(term.pots, a, b, term.cost)
+    plan = plan_matrix(term.pots, a, b, SQ.pairwise(a.points, b.points))
     kernel = term._half.kernel.copy()
     built = []
 

@@ -387,13 +387,25 @@ def test_spatially_varying_kl_has_no_spec_string():
     assert "rho_fn=" in repr(varying)
 
 
-strengths = st.floats(min_value=0.0, max_value=1e300, exclude_min=True)
+F32_MAX = float(np.finfo(np.float32).max)
+
+
+def scalars(lo, hi, **kwargs):
+    """Floats in [lo, hi] as Python floats, numpy float64 or numpy float32
+    scalars, whose spec strings must read back too."""
+    return st.one_of(
+        st.floats(lo, hi, **kwargs), st.floats(lo, hi, **kwargs).map(np.float64),
+        st.floats(max(lo, -F32_MAX), min(hi, F32_MAX), width=32,
+                  **kwargs).map(np.float32))
+
+
+strengths = scalars(0.0, 1e300, exclude_min=True)
 penalties = st.one_of(
     st.just(Balanced()), st.builds(KL, strengths), st.builds(TV, strengths),
     st.builds(Berg, strengths),
-    st.builds(Range, st.floats(0.0, 1.0), st.floats(1.0, 1e300)),
+    st.builds(Range, scalars(0.0, 1.0), scalars(1.0, 1e300)),
     st.builds(Power, strengths,
-              st.floats(-1e300, 1.0, exclude_max=True).filter(bool)))
+              scalars(-1e300, 1.0, exclude_max=True).filter(bool)))
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=500)

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import uot.sinkhorn
 from uot import (KL, TV, Balanced, Berg, CostSpec, DiscreteMeasure,
@@ -11,6 +13,7 @@ from uot import (KL, TV, Balanced, Berg, CostSpec, DiscreteMeasure,
                  sinkhorn_divergence, sinkhorn_entropy, softmin, solve,
                  solve_symmetric)
 from uot.measures import _row_blocks
+from uot.sinkhorn import _softmin_rows, _SqPoints
 
 SQ = CostSpec.sq_euclidean()
 
@@ -684,6 +687,48 @@ def test_exp_floor_leaves_softmins_bit_identical():
     ref = unfloored_softmin_rows(eps, b.log_weights, pots.g, cost)
     assert np.array_equal(half_update(eps, entropy, b, pots.g, cost),
                           entropy.damp(eps, ref))
+
+
+@st.composite
+def sq_instances(draw):
+    """A cost ``scale |x - y|^2`` between two small clouds, some atoms
+    coincident, or between a cloud and itself; log weights and a potential
+    on ``y``; and ``eps`` from 1e-5 max C to max C."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    d, n, m = (draw(st.integers(1, hi)) for hi in (3, 9, 9))
+    spread = 10.0 ** draw(st.floats(-3.0, 1.0))
+    base, gap = draw(st.floats(-1e3, 1e3)), draw(st.floats(0.0, 1e3))
+    xs = base + spread * rng.standard_normal((n, d))
+    if draw(st.booleans()):
+        ys = xs
+    else:
+        ys = base + gap + spread * rng.standard_normal((m, d))
+        k = draw(st.integers(0, min(n, m)))
+        ys[:k] = xs[:k]
+    scale = 10.0 ** draw(st.floats(-1.0, 1.0).filter(bool))
+    c = CostSpec.sq_euclidean(scale).pairwise(xs, ys)
+    c_max = float(np.max(c))
+    eps = max(c_max, 1e-300) * 10.0 ** draw(st.floats(-5.0, 0.0))
+    pot = c_max * draw(st.floats(0.0, 1.0)) * rng.uniform(-1.0, 1.0, len(ys))
+    log_w = np.log(rng.uniform(0.1, 1.0, len(ys)))
+    return _SqPoints.between(scale, xs, ys), c, eps, log_w, pot
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(sq_instances())
+def test_kernels_built_from_the_points_match_the_cost_matrix(instance):
+    # the exponent's Gram form rounds differently from the squared
+    # distances, by a few ulps of max C + max |pot| (at most 3.8 seen)
+    points, c, eps, log_w, pot = instance
+    tol = 16 * np.finfo(float).eps * (np.max(c) + np.max(np.abs(pot)))
+    ref, got = (_softmin_rows(eps, log_w, pot, cost) for cost in (c, points))
+    assert np.max(np.abs(got[0] - ref[0])) <= tol
+    assert eps * np.max(np.abs(got[1] - ref[1])) <= tol
+    assert eps * np.max(np.abs(np.log(got[2] / ref[2]))) <= tol
+    # the asymptotic inits' cost-weight products
+    w = np.exp(log_w)
+    assert (np.max(np.abs(points @ w - c @ w))
+            <= 16 * np.finfo(float).eps * np.max(c) * np.sum(w))
 
 
 def test_exp_floor_leaves_the_plan_mass_bit_identical():
